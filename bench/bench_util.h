@@ -38,9 +38,11 @@ namespace wormcast::bench {
 ///   --strategy NAME   tree strategy for benches that support it
 ///                     (single-root | partition-merge | load-aware |
 ///                     multi-root); rejected here so a typo fails fast
-///   --queue KIND      event-queue implementation (calendar | heap);
-///                     results are bit-identical either way, only timing
-///                     differs (A/B runs for the hot-path work)
+///   --queue KIND      event-queue implementation: calendar (default; a
+///                     1024-tick timing wheel with a far-future heap) or
+///                     heap (the reference oracle). Results, queue peak
+///                     included, are bit-identical either way; only
+///                     timing and mem_queues_bytes differ
 ///   --shards N        executors for the sharded in-run engine (benches
 ///                     that support it; default 1 = classic single-queue).
 ///                     Results are bit-identical at any shard count — the
@@ -205,11 +207,15 @@ class JsonBench {
     rows_.resize(n);
   }
 
-  /// Stores point `i`'s row into its slot (race-free across workers).
-  void set_row(std::size_t i, Row kv) {
+  /// Stores point `i`'s row into its slot (race-free across workers). A
+  /// non-empty `name` is written as the row's "name" key; the perf gate
+  /// then matches the row by name instead of by position.
+  void set_row(std::size_t i, Row kv, std::string name = {}) {
     std::lock_guard<std::mutex> lock(mu_);
     if (i >= rows_.size()) rows_.resize(i + 1);
+    if (i >= row_names_.size()) row_names_.resize(i + 1);
     rows_[i] = std::move(kv);
+    row_names_[i] = std::move(name);
   }
 
   /// Appends a row (sequential emitters; takes the same lock).
@@ -252,8 +258,10 @@ class JsonBench {
     std::fprintf(f, "{\"bench\": \"%s\", \"rows\": [", name_.c_str());
     for (std::size_t r = 0; r < rows_.size(); ++r) {
       std::fprintf(f, "%s\n  {", r == 0 ? "" : ",");
+      const bool named = r < row_names_.size() && !row_names_[r].empty();
+      if (named) std::fprintf(f, "\"name\": \"%s\"", row_names_[r].c_str());
       for (std::size_t i = 0; i < rows_[r].size(); ++i) {
-        std::fprintf(f, "%s\"%s\": ", i == 0 ? "" : ", ",
+        std::fprintf(f, "%s\"%s\": ", i == 0 && !named ? "" : ", ",
                      rows_[r][i].first.c_str());
         if (rows_[r][i].second.has_value())
           std::fputs(json_number(*rows_[r][i].second).c_str(), f);
@@ -297,6 +305,7 @@ class JsonBench {
   std::string name_;
   mutable std::mutex mu_;
   std::vector<Row> rows_;
+  std::vector<std::string> row_names_;
   std::vector<std::pair<std::string, double>> counters_;
   std::vector<std::pair<std::string, double>> meta_;
   std::vector<double> point_wall_ms_;

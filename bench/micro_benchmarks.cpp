@@ -169,8 +169,10 @@ int main(int argc, char** argv) {
     std::printf("%s,%.1f,%.3g\n", cases[i].name, m.ns_per_op,
                 m.items_per_sec);
     std::fflush(stdout);
-    json.set_row(i, {{"ns_per_op", m.ns_per_op},
-                     {"items_per_sec", m.items_per_sec}});
+    json.set_row(i,
+                 {{"ns_per_op", m.ns_per_op},
+                  {"items_per_sec", m.items_per_sec}},
+                 cases[i].name);
   }
   json.set_meta("min_ms", min_ms);
   json.write();

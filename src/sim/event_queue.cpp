@@ -12,13 +12,8 @@ namespace {
 // Typical experiments keep a few hundred in-flight events per host; one
 // up-front reservation avoids the incremental regrowth entirely.
 constexpr std::size_t kInitialSlotCapacity = 1024;
-// Calendar geometry bounds. 64 buckets is small enough that an idle queue
-// costs nothing to rotate through and large enough that the first resize
-// is not immediate; width is clamped so window arithmetic stays far from
-// Time overflow even for day-long byte-time runs.
-constexpr std::size_t kMinBuckets = 64;
-constexpr unsigned kMinWidthLog2 = 2;
-constexpr unsigned kMaxWidthLog2 = 40;
+// Rule (c)'s starting budget and floor.
+constexpr std::size_t kMinBudget = 64;
 
 }  // namespace
 
@@ -47,282 +42,263 @@ bool parse_event_queue_kind(const char* name, EventQueueKind* out) {
 EventQueue::EventQueue(EventQueueKind kind) : kind_(kind) {
   slots_.reserve(kInitialSlotCapacity);
   free_slots_.reserve(kInitialSlotCapacity);
-  if (kind_ == EventQueueKind::kHeap) {
-    heap_.reserve(kInitialSlotCapacity);
-  } else {
-    buckets_.resize(kMinBuckets);
-    bucket_mask_ = kMinBuckets - 1;
-  }
-}
-
-std::uint32_t EventQueue::acquire_slot(Action action) {
-  std::uint32_t index;
-  if (!free_slots_.empty()) {
-    index = free_slots_.back();
-    free_slots_.pop_back();
-  } else {
-    index = static_cast<std::uint32_t>(slots_.size());
-    slots_.emplace_back();
-  }
-  Slot& s = slots_[index];
-  assert(!s.live);
-  s.action = std::move(action);
-  s.live = true;
-  return index;
-}
-
-void EventQueue::retire_slot(std::uint32_t slot) {
-  Slot& s = slots_[slot];
-  assert(s.live);
-  s.live = false;
-  // Destroy the action now, not at compaction: cancelled retransmit timers
-  // capture worm shared_ptrs, and holding those until a sweep would keep
-  // whole payloads alive for no reason.
-  s.action.reset();
-  ++s.gen;  // invalidates every outstanding handle and parked entry
-  free_slots_.push_back(slot);
+  if (kind_ == EventQueueKind::kHeap) heap_.reserve(kInitialSlotCapacity);
 }
 
 EventHandle EventQueue::schedule(Time when, Action action, bool late) {
   assert(action);
   const std::uint64_t seq = next_seq_++;
-  const std::uint32_t slot = acquire_slot(std::move(action));
-  Entry e;
-  e.time = when;
-  e.key = (static_cast<std::uint64_t>(late) << 63) | seq;
-  e.slot = slot;
-  e.gen = slots_[slot].gen;
-  ++live_count_;
-  if (kind_ == EventQueueKind::kHeap) {
-    heap_insert(e);
-    peak_size_ = std::max(peak_size_, heap_.size());
+  std::uint32_t slot;
+  if (!free_slots_.empty()) {
+    slot = free_slots_.back();
+    free_slots_.pop_back();
   } else {
-    cal_insert(e);
-    peak_size_ = std::max(peak_size_, entries_parked_);
+    slot = static_cast<std::uint32_t>(slots_.size());
+    slots_.emplace_back();
   }
-  return EventHandle(slot, e.gen);
+  Slot& s = slots_[slot];
+  assert(!s.live);
+  s.action = std::move(action);
+  s.live = true;
+  const std::uint64_t gen = s.gen;
+
+  if (kind_ == EventQueueKind::kCalendar && when < base_) rewind(when);
+  if (kind_ == EventQueueKind::kCalendar &&
+      static_cast<std::uint64_t>(when - base_) < kWheelTicks) {
+    append(when, late, slot);
+  } else {
+    heap_.push_back({when, (static_cast<std::uint64_t>(late) << 63) | seq,
+                     slot});
+    std::push_heap(heap_.begin(), heap_.end(), Later{});
+  }
+  // Every parked entry is older than this one, so it leads only by time or
+  // by being normal-class against a late head of the same tick. An empty
+  // queue parks nothing (settle() drops dead entries once none are live).
+  if (live_count_++ == 0 || when < head_time_ ||
+      (when == head_time_ && !late && head_late_)) {
+    head_time_ = when;
+    head_slot_ = slot;
+    head_late_ = late;
+  }
+  rebudget();
+  peak_size_ = std::max(peak_size_, live_count_ + dead_parked_);
+  return EventHandle(slot, gen);
 }
 
 void EventQueue::cancel(EventHandle handle) {
   if (!handle.valid() || handle.slot_ >= slots_.size()) return;
   Slot& s = slots_[handle.slot_];
   if (!s.live || s.gen != handle.gen_) return;  // already fired or cancelled
-  const bool was_head =
-      kind_ == EventQueueKind::kCalendar && handle.slot_ == head_slot_;
-  retire_slot(handle.slot_);
+  s.live = false;
+  // Destroy the action now, not when the entry is dropped: cancelled
+  // retransmit timers capture worm shared_ptrs, and holding those until a
+  // sweep would keep whole payloads alive for no reason.
+  s.action.reset();
   --live_count_;
   ++dead_parked_;
-  if (kind_ == EventQueueKind::kHeap) {
-    heap_drop_dead_head();
-    if (dead_parked_ * 2 > heap_.size()) heap_compact();
-  } else {
-    if (was_head && live_count_ > 0) cal_find_head();
-    if (dead_parked_ * 2 > entries_parked_) cal_compact();
-    cal_maybe_resize();
-  }
+  settle();
+  if (dead_parked_ * 2 > live_count_ + dead_parked_) sweep();
+  rebudget();
 }
 
 EventQueue::Popped EventQueue::pop() {
   assert(live_count_ > 0 && "pop() on empty EventQueue");
-  Entry e = kind_ == EventQueueKind::kHeap ? heap_take() : cal_take();
-  assert(entry_live(e));
+  const std::uint32_t slot = head_slot_;
+  assert(slots_[slot].live);
   Popped out;
-  out.time = e.time;
-  out.action = std::move(slots_[e.slot].action);
-  retire_slot(e.slot);
-  --live_count_;
-  if (kind_ == EventQueueKind::kCalendar) {
-    cal_find_head();
-    cal_maybe_resize();
+  out.time = head_time_;
+  out.action = std::move(slots_[slot].action);
+  if (wheel_size_ > 0) {
+    // The wheel holds everything before the horizon, so a non-empty wheel
+    // holds the head, at the front of its list.
+    const std::uint32_t front =
+        unlink_front(2 * bucket_of(head_time_) + head_late_);
+    assert(front == slot);
+    (void)front;
+  } else {
+    assert(heap_.front().slot == slot);
+    std::pop_heap(heap_.begin(), heap_.end(), Later{});
+    heap_.pop_back();
   }
+  release_slot(slot);
+  --live_count_;
+  if (kind_ == EventQueueKind::kCalendar && out.time > base_) {
+    base_ = out.time;
+    migrate();
+  }
+  head_slot_ = kNil;
+  settle();
+  rebudget();
   return out;
   // The caller runs the action after we return, so a re-entrant schedule()
   // sees fully consistent counters and may immediately reuse this slot.
 }
 
-// --- flat heap -----------------------------------------------------------
-
-void EventQueue::heap_insert(const Entry& e) {
-  heap_.push_back(e);
-  std::push_heap(heap_.begin(), heap_.end(), Later{});
-  head_time_ = heap_.front().time;
+std::size_t EventQueue::first_bucket() const {
+  assert(wheel_size_ > 0);
+  const std::size_t start = bucket_of(base_);
+  std::size_t word = start / 64;
+  std::uint64_t bits = occupied_[word] & (~std::uint64_t{0} << (start % 64));
+  // kWords + 1 probes: the last revisits the start word for buckets that
+  // wrapped below the start bit.
+  for (std::size_t probe = 0; bits == 0 && probe < kWords; ++probe) {
+    word = (word + 1) % kWords;
+    bits = occupied_[word];
+  }
+  assert(bits != 0);
+  return word * 64 + static_cast<std::size_t>(std::countr_zero(bits));
 }
 
-EventQueue::Entry EventQueue::heap_take() {
-  assert(!heap_.empty() && entry_live(heap_.front()));
-  std::pop_heap(heap_.begin(), heap_.end(), Later{});
-  Entry e = heap_.back();
-  heap_.pop_back();
-  heap_drop_dead_head();  // restore the head-is-live invariant
-  return e;
+void EventQueue::append(Time t, bool late, std::uint32_t slot) {
+  const std::size_t bucket = bucket_of(t);
+  List& l = lists_[2 * bucket + late];
+  slots_[slot].next = kNil;
+  if (l.tail == kNil) {
+    l.head = slot;
+  } else {
+    slots_[l.tail].next = slot;
+  }
+  l.tail = slot;
+  occupied_[bucket / 64] |= std::uint64_t{1} << (bucket % 64);
+  ++wheel_size_;
 }
 
-void EventQueue::heap_drop_dead_head() {
-  while (!heap_.empty() && !entry_live(heap_.front())) {
+std::uint32_t EventQueue::unlink_front(std::size_t list) {
+  List& l = lists_[list];
+  const std::uint32_t slot = l.head;
+  l.head = slots_[slot].next;
+  if (l.head == kNil) {
+    l.tail = kNil;
+    const std::size_t bucket = list / 2;
+    if (lists_[bucket * 2].head == kNil && lists_[bucket * 2 + 1].head == kNil)
+      occupied_[bucket / 64] &= ~(std::uint64_t{1} << (bucket % 64));
+  }
+  --wheel_size_;
+  return slot;
+}
+
+void EventQueue::release_slot(std::uint32_t slot) {
+  Slot& s = slots_[slot];
+  s.live = false;
+  ++s.gen;  // invalidates every outstanding handle
+  free_slots_.push_back(slot);
+}
+
+void EventQueue::migrate() {
+  while (!heap_.empty() && static_cast<std::uint64_t>(heap_.front().time -
+                                                      base_) < kWheelTicks) {
     std::pop_heap(heap_.begin(), heap_.end(), Later{});
+    const Entry e = heap_.back();
     heap_.pop_back();
-    assert(dead_parked_ > 0);
-    --dead_parked_;
+    append(e.time, (e.key >> 63) != 0, e.slot);
   }
-  if (!heap_.empty()) head_time_ = heap_.front().time;
 }
 
-void EventQueue::heap_compact() {
-  heap_.erase(std::remove_if(heap_.begin(), heap_.end(),
-                             [this](const Entry& e) { return !entry_live(e); }),
-              heap_.end());
+void EventQueue::rewind(Time when) {
+  // Only direct EventQueue users schedule before the last pop (Simulator
+  // never schedules before now()). Move every wheel entry to the heap,
+  // keyed by its position in its list — every such key is below next_seq_
+  // and the moved times overlap no overflow entry — then refill the wheel.
+  std::uint64_t pos = 0;
+  for (std::size_t list = 0; list < lists_.size(); ++list) {
+    for (std::uint32_t s = lists_[list].head; s != kNil; s = slots_[s].next) {
+      heap_.push_back({bucket_time(list / 2),
+                       (static_cast<std::uint64_t>(list % 2) << 63) | ++pos,
+                       s});
+    }
+    lists_[list] = List{};
+  }
+  occupied_ = {};
+  wheel_size_ = 0;
   std::make_heap(heap_.begin(), heap_.end(), Later{});
-  dead_parked_ = 0;
-  if (!heap_.empty()) head_time_ = heap_.front().time;
+  base_ = when;
+  migrate();
 }
 
-// --- calendar ------------------------------------------------------------
-
-void EventQueue::cal_insert(const Entry& e) {
-  auto& bucket = buckets_[bucket_of(e.time)];
-  bucket.push_back(e);
-  std::push_heap(bucket.begin(), bucket.end(), Later{});
-  ++entries_parked_;
-  // live_count_ was already incremented by schedule(): ==1 means this is
-  // the only live event, so the head cache must be rebuilt from it even
-  // though dead entries may still be parked elsewhere.
-  if (live_count_ == 1 || e.time < head_time_ ||
-      (e.time == head_time_ && e.key < head_key_)) {
-    cursor_ = bucket_of(e.time);
-    window_end_ = window_end_of(e.time);
-    head_time_ = e.time;
-    head_key_ = e.key;
-    head_slot_ = e.slot;
-  }
-  cal_maybe_resize();
-}
-
-EventQueue::Entry EventQueue::cal_take() {
-  auto& bucket = buckets_[cursor_];
-  // Dead entries can sort before the head within its bucket (a cancelled
-  // event whose time was earlier); clear them so the front is the head.
-  cal_clean_head(bucket);
-  assert(!bucket.empty());
-  std::pop_heap(bucket.begin(), bucket.end(), Later{});
-  Entry e = bucket.back();
-  bucket.pop_back();
-  --entries_parked_;
-  assert(e.time == head_time_ && e.key == head_key_ && e.slot == head_slot_);
-  return e;
-}
-
-void EventQueue::cal_clean_head(std::vector<Entry>& b) {
-  while (!b.empty() && !entry_live(b.front())) {
-    std::pop_heap(b.begin(), b.end(), Later{});
-    b.pop_back();
-    --entries_parked_;
-    assert(dead_parked_ > 0);
-    --dead_parked_;
-  }
-}
-
-void EventQueue::cal_find_head() {
-  if (live_count_ == 0) {
-    head_time_ = kTimeNever;
-    return;
-  }
-  // The new head can only be at or after the old one (inserts earlier than
-  // the head rewind the cursor in cal_insert), so scanning forward from
-  // the current window is safe.
-  const Time width = Time{1} << width_log2_;
-  for (std::size_t scanned = 0; scanned < buckets_.size(); ++scanned) {
-    auto& bucket = buckets_[cursor_];
-    cal_clean_head(bucket);
-    if (!bucket.empty() && bucket.front().time < window_end_) {
-      const Entry& f = bucket.front();
-      head_time_ = f.time;
-      head_key_ = f.key;
-      head_slot_ = f.slot;
+void EventQueue::settle() {
+  if (head_slot_ != kNil && slots_[head_slot_].live) return;
+  for (;;) {
+    std::uint32_t slot;
+    if (wheel_size_ > 0) {
+      const std::size_t bucket = first_bucket();
+      const bool late = lists_[bucket * 2].head == kNil;
+      slot = lists_[bucket * 2 + late].head;
+      if (slots_[slot].live) {
+        head_time_ = bucket_time(bucket);
+        head_slot_ = slot;
+        head_late_ = late;
+        return;
+      }
+      unlink_front(bucket * 2 + late);
+    } else if (!heap_.empty()) {
+      const Entry& top = heap_.front();
+      slot = top.slot;
+      if (slots_[slot].live) {
+        head_time_ = top.time;
+        head_slot_ = slot;
+        head_late_ = (top.key >> 63) != 0;
+        return;
+      }
+      std::pop_heap(heap_.begin(), heap_.end(), Later{});
+      heap_.pop_back();
+    } else {
+      head_time_ = kTimeNever;
+      head_slot_ = kNil;
       return;
     }
-    cursor_ = (cursor_ + 1) & bucket_mask_;
-    window_end_ += width;
+    release_slot(slot);
+    --dead_parked_;
   }
-  // Full rotation with no hit: the next event is further away than one
-  // whole calendar cycle. Jump to the global minimum across bucket heads
-  // instead of walking empty windows one by one.
-  const Entry* best = nullptr;
-  for (auto& bucket : buckets_) {
-    cal_clean_head(bucket);
-    if (bucket.empty()) continue;
-    const Entry& f = bucket.front();
-    if (best == nullptr || f.time < best->time ||
-        (f.time == best->time && f.key < best->key)) {
-      best = &f;
-    }
-  }
-  assert(best != nullptr);
-  cursor_ = bucket_of(best->time);
-  window_end_ = window_end_of(best->time);
-  head_time_ = best->time;
-  head_key_ = best->key;
-  head_slot_ = best->slot;
 }
 
-void EventQueue::cal_resize(std::size_t count) {
-  // Collect the live population; dead parked entries are dropped here.
-  std::vector<Entry> live;
-  live.reserve(live_count_);
-  Time min_time = kTimeNever;
-  Time max_time = 0;
-  for (auto& bucket : buckets_) {
-    for (const Entry& e : bucket) {
-      if (!entry_live(e)) continue;
-      live.push_back(e);
-      min_time = std::min(min_time, e.time);
-      max_time = std::max(max_time, e.time);
+void EventQueue::sweep() {
+  for (std::size_t word = 0; word < kWords; ++word) {
+    for (std::uint64_t bits = occupied_[word]; bits != 0; bits &= bits - 1) {
+      const std::size_t bucket =
+          word * 64 + static_cast<std::size_t>(std::countr_zero(bits));
+      for (std::size_t list = bucket * 2; list < bucket * 2 + 2; ++list) {
+        List survivors;
+        for (std::uint32_t s = lists_[list].head, next; s != kNil; s = next) {
+          next = slots_[s].next;
+          if (!slots_[s].live) {
+            release_slot(s);
+            --wheel_size_;
+          } else if (survivors.tail == kNil) {
+            survivors.head = survivors.tail = s;
+          } else {
+            slots_[survivors.tail].next = s;
+            survivors.tail = s;
+          }
+        }
+        if (survivors.tail != kNil) slots_[survivors.tail].next = kNil;
+        lists_[list] = survivors;
+      }
+      if (lists_[bucket * 2].head == kNil && lists_[bucket * 2 + 1].head == kNil)
+        occupied_[word] &= ~(std::uint64_t{1} << (bucket % 64));
     }
-    bucket.clear();  // keeps capacity for reuse
   }
+  std::size_t kept = 0;
+  for (const Entry& e : heap_) {
+    if (slots_[e.slot].live) {
+      heap_[kept++] = e;
+    } else {
+      release_slot(e.slot);
+    }
+  }
+  heap_.resize(kept);
+  std::make_heap(heap_.begin(), heap_.end(), Later{});
   dead_parked_ = 0;
-  entries_parked_ = live.size();
-  if (count != buckets_.size()) buckets_.resize(count);
-  bucket_mask_ = count - 1;
-
-  // Fit the bucket width to the mean gap between live events so a window
-  // holds O(1) of them. Pure integer math on queue contents — identical
-  // runs resize identically, which the equivalence tests rely on.
-  if (live.size() >= 2 && max_time > min_time) {
-    const std::uint64_t gap =
-        static_cast<std::uint64_t>(max_time - min_time) / live.size();
-    width_log2_ = std::clamp(static_cast<unsigned>(std::bit_width(gap | 1)),
-                             kMinWidthLog2, kMaxWidthLog2);
-  }
-
-  const Entry* best = nullptr;
-  for (const Entry& e : live) {
-    buckets_[bucket_of(e.time)].push_back(e);
-    if (best == nullptr || e.time < best->time ||
-        (e.time == best->time && e.key < best->key)) {
-      best = &e;
-    }
-  }
-  for (auto& bucket : buckets_) {
-    std::make_heap(bucket.begin(), bucket.end(), Later{});
-  }
-  if (best != nullptr) {
-    cursor_ = bucket_of(best->time);
-    window_end_ = window_end_of(best->time);
-    head_time_ = best->time;
-    head_key_ = best->key;
-    head_slot_ = best->slot;
-  } else {
-    head_time_ = kTimeNever;
-  }
 }
 
-void EventQueue::cal_maybe_resize() {
-  const std::size_t buckets = buckets_.size();
-  if (live_count_ > buckets * 2) {
-    cal_resize(buckets * 2);
-  } else if (buckets > kMinBuckets && live_count_ < buckets / 8) {
-    cal_resize(buckets / 2);
+void EventQueue::rebudget() {
+  if (live_count_ > budget_ * 2) {
+    budget_ *= 2;
+  } else if (budget_ > kMinBudget && live_count_ < budget_ / 8) {
+    budget_ /= 2;
+  } else {
+    return;
   }
+  if (dead_parked_ > 0) sweep();
 }
 
 }  // namespace wormcast

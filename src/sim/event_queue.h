@@ -1,6 +1,7 @@
 // A cancellable discrete-event queue ordered by (time, late, sequence).
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <vector>
 
@@ -14,14 +15,14 @@ namespace wormcast {
 /// Both structures fire events in exactly the same order — the comparator
 /// (time, late, insertion sequence) is a total order, so any correct
 /// priority queue yields the identical event sequence bit for bit (the
-/// queue-equivalence suite pins this on full experiment sweeps). They
-/// differ only in cost: the flat binary heap pays O(log n) per operation
-/// on one big array; the calendar queue pays amortized O(1) by hashing
-/// events into time-bucketed mini-heaps, which wins once thousand-host
-/// fabrics keep tens of thousands of events pending.
+/// queue-equivalence suite pins this on full experiment sweeps) — and both
+/// reclaim cancelled entries at the same moments, so even the queue peak
+/// matches. They differ only in cost: the flat binary heap pays O(log n)
+/// per operation; the calendar (a one-tick timing wheel) pays O(1) for
+/// every event due within the wheel's horizon.
 enum class EventQueueKind : std::uint8_t {
-  kCalendar,  // bucketed calendar queue (default)
-  kHeap,      // flat binary heap (PR 3's structure; equivalence + debugging)
+  kCalendar,  // one-tick timing wheel + far-future heap (default)
+  kHeap,      // flat binary heap (reference oracle for equivalence tests)
 };
 
 [[nodiscard]] const char* to_string(EventQueueKind kind);
@@ -56,20 +57,30 @@ class EventHandle {
 /// insertion order (late-class events after every same-time normal event),
 /// which makes runs fully deterministic.
 ///
-/// Allocation discipline: actions are InlineActions stored in the slot
-/// arena (a recycled vector indexed by the handle's slot), and the
-/// pending-event entries are 32-byte PODs — so schedule()/cancel()/pop()
-/// never allocate in steady state, whatever the capture size, and heap
-/// sift/bucket moves shuffle PODs instead of closures.
+/// Calendar structure: a wheel of kWheelTicks one-byte-time buckets covers
+/// [base, base + kWheelTicks), where base is the time of the last pop. Each
+/// bucket holds two FIFO lists (normal, late) linked through the slot
+/// arena, and a bitmap of occupied buckets finds the next one. Sequence
+/// numbers only grow, so appending already yields (time, late, seq) order
+/// with no comparisons. Events past the horizon wait in a flat binary heap
+/// of 24-byte entries and move into the wheel when a pop advances base.
 ///
-/// Cancellation is lazy: a cancelled event's slot is stamped dead in O(1)
-/// (its action is destroyed immediately, releasing captured shared_ptrs)
-/// and the parked POD entry is skipped when it surfaces — except when the
-/// cancelled entry is the current head, in which case it is removed
-/// immediately so the head-is-live invariant holds and next_time() stays a
-/// pure read. When dead entries outnumber live ones the structure is
-/// compacted in one pass, so a workload that schedules and cancels
-/// millions of timers holds O(live) memory, not O(ever scheduled).
+/// Allocation discipline: actions are InlineActions stored in the slot
+/// arena (a recycled vector indexed by the handle's slot), so
+/// schedule()/cancel()/pop() never allocate in steady state.
+///
+/// Cancellation is lazy: a cancelled event's action is destroyed at once
+/// (releasing captured shared_ptrs), but its slot stays parked — keeping
+/// list links valid — until the entry is dropped, which happens
+///   (a) after every pop and cancel, for dead entries at the front (so
+///       next_time() is a pure read of a live head);
+///   (b) for all dead entries, when a cancel leaves more than half of the
+///       parked entries dead;
+///   (c) for all dead entries, whenever the live count crosses a resize
+///       threshold (a budget starting at 64 that doubles when live exceeds
+///       twice it and halves when live falls below an eighth of it).
+/// peak_size() counts parked entries, and recorded baselines pin it, so
+/// both kinds follow exactly this rule.
 class EventQueue {
  public:
   using Action = InlineAction;
@@ -109,37 +120,36 @@ class EventQueue {
   /// High-water mark of queue occupancy (live + lazily-cancelled entries);
   /// the hot-path bench reports it as the queue's peak memory proxy.
   [[nodiscard]] std::size_t peak_size() const { return peak_size_; }
-  /// Dead entries currently parked awaiting a skip/compaction.
+  /// Dead entries currently parked awaiting a drop.
   [[nodiscard]] std::size_t cancelled_in_heap() const { return dead_parked_; }
-  /// Calendar-mode bucket count (1 in heap mode); resize-policy telemetry.
-  [[nodiscard]] std::size_t bucket_count() const {
-    return kind_ == EventQueueKind::kCalendar ? buckets_.size() : 1;
-  }
 
-  /// Estimated heap bytes behind the queue (slot arena, heap/bucket
-  /// storage). Capacity-based, so it is deterministic for a given event
-  /// sequence — the memory audit's mem_queue_bytes counter.
+  /// Estimated heap bytes behind the queue (slot arena, overflow heap and
+  /// the fixed wheel). Capacity-based, so it is deterministic for a given
+  /// event sequence — the memory audit's mem_queues_bytes counter.
   [[nodiscard]] std::size_t heap_bytes_estimate() const {
-    std::size_t bytes = slots_.capacity() * sizeof(Slot) +
-                        free_slots_.capacity() * sizeof(std::uint32_t) +
-                        heap_.capacity() * sizeof(Entry) +
-                        buckets_.capacity() * sizeof(std::vector<Entry>);
-    for (const auto& b : buckets_) bytes += b.capacity() * sizeof(Entry);
-    return bytes;
+    return sizeof(lists_) + sizeof(occupied_) +
+           slots_.capacity() * sizeof(Slot) +
+           free_slots_.capacity() * sizeof(std::uint32_t) +
+           heap_.capacity() * sizeof(Entry);
   }
 
  private:
-  /// POD pending-event entry. `key` packs the tie-break: bit 63 is the
-  /// late flag (late fires after every same-time normal event) and the low
-  /// 63 bits are the insertion sequence — so ordering by (time, key)
-  /// equals ordering by (time, late, seq). The action itself lives in the
-  /// slot arena, so sift and bucket moves shuffle 32 trivially-copyable
-  /// bytes, never a closure.
+  static constexpr std::uint32_t kNil = 0xFFFFFFFFu;
+  /// Wheel horizon in byte-times. Channel pumps and deliveries land within
+  /// a few hundred byte-times; per-packet costs and ACK timeouts (tens of
+  /// thousands) go to the overflow heap. Measured: 4096 buckets ran no
+  /// faster on the testbed or reliable-torus workloads, for 48 KiB more
+  /// per queue.
+  static constexpr std::size_t kWheelTicks = 1024;
+  static constexpr std::size_t kWords = kWheelTicks / 64;
+
+  /// Overflow-heap entry. `key` packs the tie-break: bit 63 is the late
+  /// flag and the low 63 bits the insertion sequence, so ordering by
+  /// (time, key) equals ordering by (time, late, seq).
   struct Entry {
     Time time = 0;
     std::uint64_t key = 0;
     std::uint32_t slot = 0;
-    std::uint64_t gen = 0;  // slot generation at schedule time
   };
   /// std::push_heap/pop_heap build a max-heap w.r.t. this comparator, so
   /// "later is greater" puts the earliest (time, key) at the front.
@@ -149,83 +159,62 @@ class EventQueue {
       return a.key > b.key;
     }
   };
-  /// One arena cell: the scheduled action plus the generation stamp that
-  /// invalidates stale handles and stale parked entries.
+  /// One arena cell. A slot is owned by its parked entry until that entry
+  /// is popped or dropped, so `next` (the wheel-list link) stays valid and
+  /// entries need no generation of their own.
   struct Slot {
     Action action;
     std::uint64_t gen = 1;
+    std::uint32_t next = kNil;
     bool live = false;
   };
+  struct List {
+    std::uint32_t head = kNil;
+    std::uint32_t tail = kNil;
+  };
 
-  /// The generation check matters: a cancelled entry stays parked while
-  /// its slot may be reused by a newer event, and slot liveness alone
-  /// would make that stale entry look alive again.
-  [[nodiscard]] bool entry_live(const Entry& e) const {
-    const Slot& s = slots_[e.slot];
-    return s.live && s.gen == e.gen;
+  [[nodiscard]] static std::size_t bucket_of(Time t) {
+    return static_cast<std::uint64_t>(t) & (kWheelTicks - 1);
   }
-  std::uint32_t acquire_slot(Action action);
-  void retire_slot(std::uint32_t slot);
-
-  // --- flat-heap structure ---------------------------------------------
-  void heap_insert(const Entry& e);
-  void heap_drop_dead_head();
-  void heap_compact();
-  Entry heap_take();
-
-  // --- calendar structure ----------------------------------------------
-  [[nodiscard]] std::size_t bucket_of(Time t) const {
-    return static_cast<std::size_t>(static_cast<std::uint64_t>(t) >>
-                                    width_log2_) &
-           bucket_mask_;
+  /// The one time in [base, base + kWheelTicks) that maps to `bucket`.
+  [[nodiscard]] Time bucket_time(std::size_t bucket) const {
+    return base_ + static_cast<Time>((bucket - bucket_of(base_)) &
+                                     (kWheelTicks - 1));
   }
-  [[nodiscard]] Time window_end_of(Time t) const {
-    const Time width = Time{1} << width_log2_;
-    return (t & ~(width - 1)) + width;
-  }
-  void cal_insert(const Entry& e);
-  Entry cal_take();
-  /// Drops dead entries off bucket `b`'s heap head.
-  void cal_clean_head(std::vector<Entry>& b);
-  /// Re-establishes the head cache: positions the cursor on the bucket
-  /// holding the earliest live event and records its (time, key). The
-  /// cursor walks forward window by window; if a full rotation finds
-  /// nothing (sparse far-future events), it jumps straight to the global
-  /// minimum across bucket heads instead of walking empty years.
-  void cal_find_head();
-  /// Rebuilds the calendar with `count` buckets and a width fitted to the
-  /// current live population (power-of-two; deterministic in the queue
-  /// contents). Dead parked entries are dropped in passing.
-  void cal_resize(std::size_t count);
-  void cal_compact() { cal_resize(buckets_.size()); }
-  void cal_maybe_resize();
+  [[nodiscard]] std::size_t first_bucket() const;
+  void append(Time t, bool late, std::uint32_t slot);
+  /// Unlinks the front of `list`, clearing the bucket bit when it empties.
+  std::uint32_t unlink_front(std::size_t list);
+  void release_slot(std::uint32_t slot);
+  /// Moves overflow entries now inside the horizon into the wheel.
+  void migrate();
+  /// Re-bases the wheel below its current base (cold path).
+  void rewind(Time when);
+  /// Rule (a): drops dead front entries and caches the live head.
+  void settle();
+  /// Rules (b)/(c): drops every dead entry.
+  void sweep();
+  void rebudget();
 
   EventQueueKind kind_;
 
-  // Slot arena (both modes).
   std::vector<Slot> slots_;
   std::vector<std::uint32_t> free_slots_;
+  std::vector<Entry> heap_;  // whole queue (kHeap) or overflow (kCalendar)
 
-  // Flat-heap state.
-  std::vector<Entry> heap_;
+  std::array<List, 2 * kWheelTicks> lists_{};  // [2b] normal, [2b+1] late
+  std::array<std::uint64_t, kWords> occupied_{};
+  std::size_t wheel_size_ = 0;
+  Time base_ = 0;
 
-  // Calendar state. Buckets are mini-heaps ordered by Later; the head
-  // cache (head_time_/head_key_/head_slot_) always names the earliest
-  // live event, which sits at buckets_[cursor_].front().
-  std::vector<std::vector<Entry>> buckets_;
-  std::size_t bucket_mask_ = 0;
-  unsigned width_log2_ = 4;
-  std::size_t cursor_ = 0;
-  Time window_end_ = 0;
-  std::size_t entries_parked_ = 0;  // live + dead across all buckets
-
-  // Head cache (calendar mode; the heap keeps its head at heap_[0]).
+  // Head cache: always names the earliest parked entry once settled.
   Time head_time_ = kTimeNever;
-  std::uint64_t head_key_ = 0;
-  std::uint32_t head_slot_ = 0;
+  std::uint32_t head_slot_ = kNil;
+  bool head_late_ = false;
 
   std::size_t live_count_ = 0;
   std::size_t dead_parked_ = 0;
+  std::size_t budget_ = 64;
   std::uint64_t next_seq_ = 1;
   std::size_t peak_size_ = 0;
 };

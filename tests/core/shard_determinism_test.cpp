@@ -164,5 +164,46 @@ TEST(MemoryAudit, FourKHostNetworkBuildsSmall) {
   EXPECT_LT(fabric, 32.0 * 1024 * 1024);
 }
 
+// The running-network half of the memory audit: a 16x16 torus whose 256
+// hosts all start a 2 KB multicast at once takes the event queue to ~32k
+// pending per-byte channel events. The queue's capacity-based
+// footprint must track that peak: a 96-byte slot, a free-list index and
+// (far-future events only) a 24-byte overflow entry per parked event, with
+// headroom for the slot arena's geometric growth, plus the fixed wheel.
+// The bucketed calendar this replaced kept each bucket's capacity across
+// resizes and reported ~3 KiB per peak entry on this run.
+TEST(MemoryAudit, RunningTorusQueueTracksItsPeak) {
+  ExperimentConfig cfg;
+  cfg.protocol.scheme = Scheme::kHamiltonianSF;
+  cfg.traffic.offered_load = 1e-9;  // inject directly
+  std::vector<MulticastGroupSpec> groups;
+  for (int g = 0; g * 8 < 16 * 16; ++g) {
+    MulticastGroupSpec spec;
+    spec.id = g;
+    for (int m = g * 8; m < (g + 1) * 8; ++m) spec.members.push_back(m);
+    groups.push_back(std::move(spec));
+  }
+  Network net(make_torus(16, 16, 1, 40, 40), std::move(groups), cfg);
+  for (HostId h = 0; h < 16 * 16; ++h) {
+    Demand d;
+    d.src = h;
+    d.multicast = true;
+    d.group = h / 8;
+    d.length = 2048;
+    net.inject(d);
+  }
+  net.run_until(1'500);
+  CounterRegistry reg;
+  net.register_counters(reg);
+  double queues = 0.0;
+  double peak = 0.0;
+  for (const auto& [name, value] : reg.snapshot()) {
+    if (name == "mem_queues_bytes") queues = value;
+    if (name == "event_queue_peak") peak = value;
+  }
+  EXPECT_GT(peak, 8'000.0);
+  EXPECT_LE(queues, 160.0 * peak + 32.0 * 1024);
+}
+
 }  // namespace
 }  // namespace wormcast

@@ -8,13 +8,15 @@
 #include <tuple>
 #include <vector>
 
+#include "sim/simulator.h"
+
 namespace wormcast {
 namespace {
 
 // Every test runs against both pending-event structures: the flat binary
-// heap and the bucketed calendar queue implement the same total order
-// (time, late, insertion sequence), so the whole contract must hold for
-// either kind.
+// heap and the calendar (a 1024-tick timing wheel plus a far-future heap)
+// implement the same total order (time, late, insertion sequence) and the
+// same reclaim rule, so the whole contract must hold for either kind.
 class EventQueueTest : public ::testing::TestWithParam<EventQueueKind> {
  protected:
   EventQueue make() { return EventQueue(GetParam()); }
@@ -358,6 +360,150 @@ TEST_P(EventQueueTest, RandomizedCancelHeavyAccounting) {
   }
   while (!q.empty()) q.pop().action();
   EXPECT_EQ(fired, expected_survivors);
+}
+
+// --- timing-wheel edges ----------------------------------------------------
+// The calendar's wheel covers [base, base + 1024) byte-times, where base is
+// the time of the last pop; later events wait in an overflow heap. These
+// cases sit on that boundary. The heap kind must behave identically.
+constexpr Time kWheel = 1024;
+
+std::vector<Time> drain_times(EventQueue& q) {
+  std::vector<Time> times;
+  while (!q.empty()) {
+    auto p = q.pop();
+    times.push_back(p.time);
+    p.action();
+  }
+  return times;
+}
+
+TEST_P(EventQueueTest, HorizonBoundaryEventsFireInTimeOrder) {
+  EventQueue q = make();
+  q.schedule(500, [] {});
+  EXPECT_EQ(q.pop().time, 500);  // base is now 500
+  const Time base = 500;
+  q.schedule(base + kWheel + 1, [] {});
+  q.schedule(base + kWheel, [] {});
+  q.schedule(base + kWheel - 1, [] {});
+  q.schedule(base, [] {});
+  EXPECT_EQ(q.next_time(), base);
+  EXPECT_EQ(drain_times(q), (std::vector<Time>{base, base + kWheel - 1,
+                                               base + kWheel,
+                                               base + kWheel + 1}));
+}
+
+TEST_P(EventQueueTest, SameTickClassesKeepSeqOrderAcrossMigration) {
+  EventQueue q = make();
+  std::vector<int> fired;
+  const Time far = 5 * kWheel;
+  // Beyond the horizon: parked in the overflow heap.
+  q.schedule(far, [&] { fired.push_back(90); }, /*late=*/true);
+  q.schedule(far, [&] { fired.push_back(1); });
+  q.schedule(far, [&] { fired.push_back(91); }, /*late=*/true);
+  q.schedule(far, [&] { fired.push_back(2); });
+  // Popping this one moves base to within a wheel of `far`, migrating the
+  // four above into the wheel; the same-tick events after it append.
+  q.schedule(far - kWheel / 2, [&] {
+    q.schedule(far, [&] { fired.push_back(92); }, /*late=*/true);
+    q.schedule(far, [&] { fired.push_back(3); });
+  });
+  drain_times(q);
+  EXPECT_EQ(fired, (std::vector<int>{1, 2, 3, 90, 91, 92}));
+}
+
+TEST_P(EventQueueTest, BitmapScanWrapsAroundTheWheel) {
+  EventQueue q = make();
+  q.schedule(kWheel - 8, [] {});
+  EXPECT_EQ(q.pop().time, kWheel - 8);
+  // Buckets below the base's bucket: the scan must wrap to find them.
+  q.schedule(kWheel + 40, [] {});
+  q.schedule(kWheel + 3, [] {});
+  q.schedule(kWheel - 2, [] {});
+  EXPECT_EQ(drain_times(q),
+            (std::vector<Time>{kWheel - 2, kWheel + 3, kWheel + 40}));
+  // Only a wrapped bucket occupied.
+  q.schedule(2 * kWheel + 1, [] {});
+  EXPECT_EQ(q.next_time(), 2 * kWheel + 1);
+  EXPECT_EQ(drain_times(q), (std::vector<Time>{2 * kWheel + 1}));
+}
+
+TEST_P(EventQueueTest, RunUntilPastTheHorizonThenSchedule) {
+  Simulator sim(GetParam());
+  std::vector<std::pair<Time, int>> fired;
+  sim.at(10, [&] { fired.emplace_back(sim.now(), 0); });
+  sim.run_until(100'000);  // clock jumps far past base + wheel
+  EXPECT_EQ(sim.now(), 100'000);
+  sim.after(kWheel + 5, [&] { fired.emplace_back(sim.now(), 4); });
+  sim.at_late(sim.now() + 5, [&] { fired.emplace_back(sim.now(), 3); });
+  sim.after(5, [&] { fired.emplace_back(sim.now(), 2); });
+  sim.after(0, [&] {
+    fired.emplace_back(sim.now(), 1);
+    sim.after(3, [&] { fired.emplace_back(sim.now(), 5); });
+  });
+  sim.run();
+  EXPECT_EQ(fired, (std::vector<std::pair<Time, int>>{
+                       {10, 0},
+                       {100'000, 1},
+                       {100'003, 5},
+                       {100'005, 2},
+                       {100'005, 3},
+                       {100'000 + kWheel + 5, 4}}));
+}
+
+TEST_P(EventQueueTest, CancelInOverflowHeap) {
+  EventQueue q = make();
+  q.schedule(1, [] {});
+  auto far_head = q.schedule(50'000, [] { FAIL() << "cancelled event fired"; });
+  auto far_mid = q.schedule(55'000, [] { FAIL() << "cancelled event fired"; });
+  q.schedule(60'000, [] {});
+  q.cancel(far_mid);  // parked far-future entry, not the head
+  EXPECT_EQ(q.size(), 3u);
+  EXPECT_EQ(q.pop().time, 1);
+  q.cancel(far_head);  // the head, while the wheel is empty
+  EXPECT_EQ(q.next_time(), 60'000);
+  EXPECT_EQ(drain_times(q), (std::vector<Time>{60'000}));
+  EXPECT_EQ(q.cancelled_in_heap(), 0u);
+}
+
+// Direct EventQueue users may schedule before the last pop (the Simulator
+// never does). The wheel then re-bases below its old base; entries already
+// parked must keep their (time, late, seq) order against newer ones.
+TEST_P(EventQueueTest, ScheduleBeforeLastPopKeepsOrder) {
+  EventQueue q = make();
+  std::vector<int> fired;
+  q.schedule(2000, [] {});
+  EXPECT_EQ(q.pop().time, 2000);
+  q.schedule(2010, [&] { fired.push_back(20); }, /*late=*/true);
+  q.schedule(2010, [&] { fired.push_back(10); });
+  q.schedule(2900, [&] { fired.push_back(30); });
+  q.schedule(100, [&] { fired.push_back(1); });  // before base 2000
+  q.schedule(2010, [&] { fired.push_back(21); }, /*late=*/true);
+  q.schedule(2010, [&] { fired.push_back(11); });
+  q.schedule(2900, [&] { fired.push_back(31); });
+  EXPECT_EQ(q.next_time(), 100);
+  EXPECT_EQ(drain_times(q), (std::vector<Time>{100, 2010, 2010, 2010, 2010,
+                                               2900, 2900}));
+  EXPECT_EQ(fired, (std::vector<int>{1, 10, 11, 20, 21, 30, 31}));
+}
+
+// Pins reclaim rule (c): when the live count crosses a resize threshold
+// (it first exceeds 128), every dead entry is dropped, so the peak counts
+// live entries only from then on. Without the rule the 50 dead entries
+// below would stay parked and the peak would read 239.
+TEST_P(EventQueueTest, PeakDropsDeadEntriesAtResizeThresholds) {
+  EventQueue q = make();
+  q.schedule(0, [] {});  // live head: the cancelled entries stay parked
+  std::vector<EventHandle> doomed;
+  for (int i = 0; i < 100; ++i) doomed.push_back(q.schedule(100 + i, [] {}));
+  // 50 dead of 101 parked: not more than half, so rule (b) keeps them.
+  for (int i = 0; i < 50; ++i) q.cancel(doomed[static_cast<std::size_t>(2 * i)]);
+  EXPECT_EQ(q.cancelled_in_heap(), 50u);
+  for (int i = 0; i < 78; ++i) q.schedule(300 + i, [] {});  // live 51 -> 129
+  EXPECT_EQ(q.peak_size(), 178u);  // 128 live + 50 dead, before the sweep
+  EXPECT_EQ(q.cancelled_in_heap(), 0u);
+  for (int i = 0; i < 60; ++i) q.schedule(400 + i, [] {});  // live 189
+  EXPECT_EQ(q.peak_size(), 189u);
 }
 
 }  // namespace

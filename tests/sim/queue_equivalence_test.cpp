@@ -1,6 +1,7 @@
-// Queue-equivalence suite: the calendar queue and the flat binary heap
-// implement the same total order (time, late, insertion sequence), so an
-// entire experiment must produce bit-identical results under either kind.
+// Queue-equivalence suite: the calendar (timing wheel) and the flat binary
+// heap implement the same total order (time, late, insertion sequence) and
+// the same reclaim rule for cancelled entries, so an entire experiment must
+// produce bit-identical results under either kind, queue peak included.
 // These tests pin that on full simulations — the Section 8 testbed (heavy
 // same-tick traffic, adapter timers, channel pumps) and a random-traffic
 // torus sweep point (Poisson generators, retransmit timers, heavy
@@ -34,7 +35,7 @@ void expect_identical(const bench::TestbedResult& a,
   // Same firing order means the simulations are the same run: every
   // deterministic observable matches exactly, including the event count
   // and the app-poll count (unlike fast-forward, the queue kind does not
-  // change which events exist).
+  // change which events exist). Same reclaim rule means the same peak.
   EXPECT_EQ(a.throughput_mbps, b.throughput_mbps);
   EXPECT_EQ(a.loss_rate, b.loss_rate);
   EXPECT_EQ(a.bytes_on_wire, b.bytes_on_wire);
@@ -42,6 +43,7 @@ void expect_identical(const bench::TestbedResult& a,
   EXPECT_EQ(a.app_polls, b.app_polls);
   EXPECT_EQ(a.pool_fresh, b.pool_fresh);
   EXPECT_EQ(a.pool_reused, b.pool_reused);
+  EXPECT_EQ(a.event_queue_peak, b.event_queue_peak);
 }
 
 TEST(QueueEquivalence, SaturatingTestbedIsBitIdentical) {
@@ -66,7 +68,7 @@ TEST(QueueEquivalence, RateLimitedTorusIsBitIdentical) {
 }
 
 double run_random_traffic(EventQueueKind kind, Scheme scheme,
-                          double* utilization) {
+                          double* utilization, std::size_t* queue_peak) {
   RandomStream group_rng(900);
   auto groups = make_random_groups(10, 10, 64, group_rng);
   ExperimentConfig cfg = bench::sim_defaults(scheme, 0.05, 0.10, 1);
@@ -75,6 +77,7 @@ double run_random_traffic(EventQueueKind kind, Scheme scheme,
   net.run(/*warmup=*/20'000, /*measure=*/60'000, /*drain_cap=*/100'000);
   const auto s = net.summary();
   *utilization = s.measured_utilization;
+  *queue_peak = net.event_queue_peak();
   return s.mcast_latency_mean;
 }
 
@@ -85,12 +88,16 @@ TEST(QueueEquivalence, RandomTrafficSweepPointIsBitIdentical) {
        {Scheme::kHamiltonianSF, Scheme::kTreeBroadcast}) {
     double util_heap = 0.0;
     double util_cal = 0.0;
-    const double lat_heap =
-        run_random_traffic(EventQueueKind::kHeap, scheme, &util_heap);
-    const double lat_cal =
-        run_random_traffic(EventQueueKind::kCalendar, scheme, &util_cal);
+    std::size_t peak_heap = 0;
+    std::size_t peak_cal = 0;
+    const double lat_heap = run_random_traffic(EventQueueKind::kHeap, scheme,
+                                               &util_heap, &peak_heap);
+    const double lat_cal = run_random_traffic(EventQueueKind::kCalendar,
+                                              scheme, &util_cal, &peak_cal);
     EXPECT_EQ(lat_heap, lat_cal);
     EXPECT_EQ(util_heap, util_cal);
+    EXPECT_EQ(peak_heap, peak_cal);
+    EXPECT_GT(peak_heap, 0u);
     EXPECT_GT(util_heap, 0.0);
   }
 }

@@ -11,6 +11,8 @@ host and are skipped entirely, while within-run wall *ratios* -- the
 speedup/overhead guards the hot-path work is gated on -- are compared
 against the baseline with a tolerance band, because a ratio of two walls
 from the same process is stable enough to gate on even on a noisy runner.
+Rows that carry a "name" (micro_benchmarks) are matched by name; unnamed
+rows (sweep points) are matched by position.
 
 Usage:
   tools/perf_gate.py --baselines bench/baselines --results build [--band 0.4]
@@ -91,8 +93,38 @@ def compare_cells(bench, where, base_cells, got_cells, failures):
 
 
 def row_cells(row):
-    # JsonBench rows are flat {metric: number-or-null} objects.
-    return row
+    # JsonBench rows are flat {metric: number-or-null} objects, plus an
+    # optional "name" string that identifies the row.
+    return {k: v for k, v in row.items() if k != "name"}
+
+
+def pair_rows(bench, base_rows, got_rows, failures):
+    """Pairs baseline and result rows: by "name" when every row has one
+    (a renamed, added or dropped case is reported as such), else by
+    position."""
+    rows = base_rows + got_rows
+    if rows and all("name" in r for r in rows):
+        got_by_name = {r["name"]: r for r in got_rows}
+        base_names = {r["name"] for r in base_rows}
+        pairs = []
+        for br in base_rows:
+            gr = got_by_name.get(br["name"])
+            if gr is None:
+                failures.append((bench, br["name"], "-", None, None,
+                                 "row missing"))
+            else:
+                pairs.append((br["name"], br, gr))
+        for name in got_by_name:
+            if name not in base_names:
+                failures.append((bench, name, "-", None, None,
+                                 "missing baseline row — run tools/rebaseline"))
+        return pairs
+    if len(base_rows) != len(got_rows):
+        failures.append((bench, "rows", "count", len(base_rows),
+                         len(got_rows), "row count changed"))
+        return []
+    return [(f"row {i}", br, gr)
+            for i, (br, gr) in enumerate(zip(base_rows, got_rows))]
 
 
 def main():
@@ -143,14 +175,9 @@ def main():
         with open(got_path) as f:
             got = json.load(f)
 
-        base_rows = base.get("rows", [])
-        got_rows = got.get("rows", [])
-        if len(base_rows) != len(got_rows):
-            failures.append((bench, "rows", "count", len(base_rows),
-                             len(got_rows), "row count changed"))
-            continue
-        for i, (br, gr) in enumerate(zip(base_rows, got_rows)):
-            compare_cells(bench, f"row {i}", row_cells(br), row_cells(gr),
+        for where, br, gr in pair_rows(bench, base.get("rows", []),
+                                       got.get("rows", []), failures):
+            compare_cells(bench, where, row_cells(br), row_cells(gr),
                           failures)
             checked += 1
         compare_cells(bench, "counters",
