@@ -130,13 +130,13 @@ void Channel::pump() {
   if (deliver) {
     ++bytes_sent_;
     last_run_swallowed_ = false;
+    const InFlight run{1, b.head, b.tail || synth_tail};
     if (bus_ != nullptr) {
       --budget_left_;  // may go negative; per-byte never consults it
-      post_delivery(
-          InFlight{b.head, b.tail || synth_tail, b.worm, b.wire_len, 1});
+      post_delivery(run, InFlightHead{b.worm, b.wire_len});
     } else {
-      in_flight_.push_back(
-          InFlight{b.head, b.tail || synth_tail, b.worm, b.wire_len, 1});
+      in_flight_.push_back(run);
+      if (b.head) in_flight_heads_.push_back(InFlightHead{b.worm, b.wire_len});
       ++in_flight_bytes_;
       sim_.after(delay_, [this] { deliver_front(); });
     }
@@ -196,9 +196,9 @@ bool Channel::try_burst() {
     last_run_swallowed_ = false;
     if (bus_ != nullptr) {
       budget_left_ -= n;
-      post_delivery(InFlight{false, false, nullptr, 0, n});
+      post_delivery(InFlight{n}, InFlightHead{});
     } else {
-      in_flight_.push_back(InFlight{false, false, nullptr, 0, n});
+      in_flight_.push_back(InFlight{n});
       in_flight_bytes_ += n;
       sim_.after(delay_, [this] { deliver_front(); });
     }
@@ -244,15 +244,21 @@ void Channel::classify_fault(const TxByte& b) {
       faults_->pick_truncation(min_len, b.wire_len - 1, w->id, sim_.now());
 }
 
-void Channel::post_delivery(InFlight b) {
+void Channel::post_delivery(const InFlight& b, InFlightHead h) {
   tx_committed_ += b.count;
-  bus_->post(tx_exec_, rx_exec_, sim_.now() + delay_, /*late=*/false,
-             [this, b = std::move(b)] { deliver_remote(b); });
+  const Time when = sim_.now() + delay_;
+  if (b.head) {
+    bus_->post(tx_exec_, rx_exec_, when, /*late=*/false,
+               [this, b, h = std::move(h)] { deliver_remote(b, &h); });
+  } else {
+    bus_->post(tx_exec_, rx_exec_, when, /*late=*/false,
+               [this, b] { deliver_remote(b, nullptr); });
+  }
 }
 
-void Channel::deliver_remote(const InFlight& b) {
+void Channel::deliver_remote(const InFlight& b, const InFlightHead* h) {
   rx_delivered_ += b.count;
-  rx_sim_->note_progress(b.count);
+  rx_sim_->note_progress(b.count);  // RX executor: its own counter
   // Landed bytes change the sink-side headroom: have the next barrier
   // republish the burst budget (once, however many runs land this window).
   if (!rx_dirty_) {
@@ -264,24 +270,26 @@ void Channel::deliver_remote(const InFlight& b) {
                       },
                       this});
   }
-  assert(sink_ != nullptr && "channel delivered into the void");
-  if (b.head)
-    sink_->on_head(b.worm, b.wire_len, b.tail);
-  else if (b.count > 1)
-    sink_->on_body_burst(b.count, /*tail=*/false);
-  else
-    sink_->on_body(b.tail);
+  land(b, h);
 }
 
 void Channel::deliver_front() {
   assert(!in_flight_.empty());
-  const InFlight b = std::move(in_flight_.front());
-  in_flight_.pop_front();
+  const InFlight b = in_flight_.pop_front();
   in_flight_bytes_ -= b.count;
   sim_.note_progress(b.count);
+  if (b.head) {
+    const InFlightHead h = in_flight_heads_.pop_front();
+    land(b, &h);
+  } else {
+    land(b, nullptr);
+  }
+}
+
+void Channel::land(const InFlight& b, const InFlightHead* h) {
   assert(sink_ != nullptr && "channel delivered into the void");
   if (b.head)
-    sink_->on_head(b.worm, b.wire_len, b.tail);
+    sink_->on_head(h->worm, h->wire_len, b.tail);
   else if (b.count > 1)
     sink_->on_body_burst(b.count, /*tail=*/false);
   else

@@ -24,12 +24,11 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <memory>
 
 #include "net/worm.h"
-#include "sim/lazy_deque.h"
 #include "sim/fault_injector.h"
+#include "sim/fifo_ring.h"
 #include "sim/shard.h"
 #include "sim/simulator.h"
 #include "sim/types.h"
@@ -198,16 +197,22 @@ class Channel {
   /// the object itself plus its in-flight window, which only costs once
   /// the channel has actually carried a byte.
   [[nodiscard]] std::size_t heap_bytes_estimate() const {
-    return sizeof(Channel) + in_flight_.heap_bytes_estimate();
+    return sizeof(Channel) + in_flight_.heap_bytes_estimate() +
+           in_flight_heads_.heap_bytes_estimate();
   }
 
  private:
+  /// One committed run on the wire: a single byte, or a burst of plain
+  /// body bytes. Trivially copyable; a head's worm travels separately.
   struct InFlight {
+    std::int64_t count = 1;  // >1: a burst of plain body bytes
     bool head = false;
     bool tail = false;
-    WormPtr worm;               // head only
-    std::int64_t wire_len = 0;  // head only
-    std::int64_t count = 1;     // >1: a burst of plain body bytes
+  };
+  /// What a head byte carries besides its InFlight entry.
+  struct InFlightHead {
+    WormPtr worm;
+    std::int64_t wire_len = 0;  // bytes this channel delivers for the worm
   };
 
   /// Per-worm fault classification, decided at the head byte.
@@ -223,42 +228,51 @@ class Channel {
   void deliver_front();
   void classify_fault(const TxByte& b);
   /// Cross-executor delivery: the run is carried by value in the posted
-  /// closure (no shared deque), landing on the RX executor at send+delay.
-  void post_delivery(InFlight b);
-  void deliver_remote(const InFlight& b);
+  /// closure (no shared ring), landing on the RX executor at send+delay.
+  void post_delivery(const InFlight& b, InFlightHead h);
+  void deliver_remote(const InFlight& b, const InFlightHead* h);
+  /// Hands a landed run to the sink; `h` is set exactly for heads.
+  void land(const InFlight& b, const InFlightHead* h);
 
+  // Fields are grouped by size to keep sizeof(Channel) small: the memory
+  // audit counts it once per channel direction, busy or idle.
   Simulator& sim_;
-  Time delay_;
   ByteFeed* feed_ = nullptr;
   RxSink* sink_ = nullptr;
   FaultInjector* faults_ = nullptr;
-  bool stopped_ = false;
-  bool burst_ = true;
-  bool pump_scheduled_ = false;
+  Time delay_;
   /// Logical send time of the newest committed byte; a burst at t commits
   /// sends through t+n-1, so this can sit in the future.
   Time last_send_ = -1;
   std::int64_t bytes_sent_ = 0;
   std::int64_t bytes_swallowed_ = 0;
+  std::int64_t in_flight_bytes_ = 0;  // delivered-but-not-landed bytes
+  std::int64_t fault_pass_left_ = 0;  // kTruncate: bytes still delivered
+  /// Classic mode's in-flight window, oldest first: at most delay+1 runs
+  /// (one per send tick), plus one InFlightHead per head run among them.
+  /// no_unique_address lets the next field use each ring's tail padding.
+  [[no_unique_address]] FifoRing<InFlight> in_flight_;
+  // Trace track identity (transmitter end) and the current worm's id for
+  // head/tail span pairing; maintained only while tracing is enabled.
+  std::int32_t trace_node_ = -1;
+  [[no_unique_address]] FifoRing<InFlightHead> in_flight_heads_;
+  std::int32_t trace_port_ = -1;
+  std::uint64_t trace_worm_ = 0;
+  FaultMode fault_mode_ = FaultMode::kNone;
+  bool stopped_ = false;
+  bool burst_ = true;
+  bool pump_scheduled_ = false;
   /// True when the newest committed run was swallowed (tells bytes_sent /
   /// bytes_swallowed which counter the not-yet-logically-sent tail of the
   /// run belongs to).
   bool last_run_swallowed_ = false;
-  std::int64_t in_flight_bytes_ = 0;  // delivered-but-not-landed bytes
-  LazyDeque<InFlight> in_flight_;
-  FaultMode fault_mode_ = FaultMode::kNone;
-  std::int64_t fault_pass_left_ = 0;  // kTruncate: bytes still delivered
   /// Set at the head byte: bursts are legal for this worm (switch-level
   /// multicast worms always step per-byte — the replication engine paces
   /// branches byte-by-byte).
   bool burst_ok_ = false;
-  // Trace track identity (transmitter end) and the current worm's id for
-  // head/tail span pairing; maintained only while tracing is enabled.
-  std::int32_t trace_node_ = -1;
-  std::int32_t trace_port_ = -1;
-  std::uint64_t trace_worm_ = 0;
 
   // --- cross-executor mode (sharded engine; null bus_ = classic) ------------
+  bool rx_dirty_ = false;           // republish already enqueued (RX thread)
   ShardBus* bus_ = nullptr;
   Simulator* rx_sim_ = nullptr;  // the sink's executor clock
   std::int32_t tx_exec_ = 0;
@@ -271,7 +285,6 @@ class Channel {
   std::int64_t budget_left_ = 0;
   std::int64_t tx_committed_ = 0;   // TX thread only (+ barriers)
   std::int64_t rx_delivered_ = 0;   // RX thread only (+ barriers)
-  bool rx_dirty_ = false;           // republish already enqueued (RX thread)
 };
 
 }  // namespace wormcast

@@ -11,9 +11,18 @@
 // composites) fall back to the heap transparently rather than failing to
 // compile — the invariant protected here is "no allocation in steady
 // state", not "no allocation ever".
+//
+// Per-event cost: the event queue builds each closure in its arena slot
+// (emplace) and moves it out once when it fires. A trivially copyable
+// callable (most hot closures capture only `this` and scalars) moves by
+// a fixed-size memcpy, and a trivially destructible one skips its destroy,
+// so such an event costs exactly one indirect call: the invoke. Callables
+// with non-trivial captures (a shared_ptr) keep exact move-construct and
+// destroy semantics.
 #pragma once
 
 #include <cstddef>
+#include <cstring>
 #include <new>
 #include <type_traits>
 #include <utility>
@@ -33,15 +42,7 @@ class InlineAction {
                 std::is_invocable_r_v<void, std::decay_t<F>&>>>
   InlineAction(F&& f) {  // NOLINT(google-explicit-constructor): drop-in for
                          // std::function at every schedule() call site
-    using Fn = std::decay_t<F>;
-    if constexpr (sizeof(Fn) <= kInlineBytes &&
-                  alignof(Fn) <= alignof(std::max_align_t)) {
-      ::new (static_cast<void*>(buf_)) Fn(std::forward<F>(f));
-      ops_ = &inline_ops<Fn>;
-    } else {
-      *reinterpret_cast<void**>(buf_) = new Fn(std::forward<F>(f));
-      ops_ = &heap_ops<Fn>;
-    }
+    construct(std::forward<F>(f));
   }
 
   InlineAction(InlineAction&& other) noexcept { move_from(other); }
@@ -56,13 +57,29 @@ class InlineAction {
   InlineAction& operator=(const InlineAction&) = delete;
   ~InlineAction() { reset(); }
 
+  /// Replaces the held callable with `f`, constructed in place. An
+  /// InlineAction argument (an rvalue) is moved in instead.
+  template <typename F>
+  void emplace(F&& f) {
+    if constexpr (std::is_same_v<std::decay_t<F>, InlineAction>) {
+      static_assert(!std::is_lvalue_reference_v<F>,
+                    "emplace moves from an InlineAction; pass an rvalue");
+      *this = std::move(f);
+    } else {
+      static_assert(std::is_invocable_r_v<void, std::decay_t<F>&>,
+                    "an event action must be callable as void()");
+      reset();
+      construct(std::forward<F>(f));
+    }
+  }
+
   [[nodiscard]] explicit operator bool() const { return ops_ != nullptr; }
 
   void operator()() { ops_->invoke(buf_); }
 
   void reset() {
     if (ops_ != nullptr) {
-      ops_->destroy(buf_);
+      if (ops_->destroy != nullptr) ops_->destroy(buf_);
       ops_ = nullptr;
     }
   }
@@ -71,33 +88,65 @@ class InlineAction {
   /// Manual vtable: one static instance per stored callable type.
   struct Ops {
     void (*invoke)(void* buf);
-    /// Moves the callable from `src` into `dst` and destroys the source.
+    /// Moves the callable from `src` into `dst` and destroys the source;
+    /// null when a memcpy of the buffer does the same.
     void (*relocate)(void* dst, void* src);
+    /// Null when destruction is a no-op.
     void (*destroy)(void* buf);
   };
 
   template <typename Fn>
-  static constexpr Ops inline_ops = {
-      [](void* buf) { (*std::launder(reinterpret_cast<Fn*>(buf)))(); },
-      [](void* dst, void* src) {
-        Fn* from = std::launder(reinterpret_cast<Fn*>(src));
-        ::new (dst) Fn(std::move(*from));
-        from->~Fn();
-      },
-      [](void* buf) { std::launder(reinterpret_cast<Fn*>(buf))->~Fn(); }};
+  static Fn* held(void* buf) {
+    return std::launder(reinterpret_cast<Fn*>(buf));
+  }
+  template <typename Fn>
+  static void invoke_inline(void* buf) {
+    (*held<Fn>(buf))();
+  }
+  template <typename Fn>
+  static void relocate_inline(void* dst, void* src) {
+    ::new (dst) Fn(std::move(*held<Fn>(src)));
+    held<Fn>(src)->~Fn();
+  }
+  template <typename Fn>
+  static void destroy_inline(void* buf) {
+    held<Fn>(buf)->~Fn();
+  }
 
   template <typename Fn>
+  static constexpr Ops inline_ops = {
+      &invoke_inline<Fn>,
+      std::is_trivially_copyable_v<Fn> ? nullptr : &relocate_inline<Fn>,
+      std::is_trivially_destructible_v<Fn> ? nullptr : &destroy_inline<Fn>};
+
+  // Heap fallback: the buffer holds only the owning pointer, which a
+  // memcpy relocates.
+  template <typename Fn>
   static constexpr Ops heap_ops = {
-      [](void* buf) { (**reinterpret_cast<Fn**>(buf))(); },
-      [](void* dst, void* src) {
-        *reinterpret_cast<void**>(dst) = *reinterpret_cast<void**>(src);
-      },
+      [](void* buf) { (**reinterpret_cast<Fn**>(buf))(); }, nullptr,
       [](void* buf) { delete *reinterpret_cast<Fn**>(buf); }};
+
+  template <typename F>
+  void construct(F&& f) {
+    using Fn = std::decay_t<F>;
+    if constexpr (sizeof(Fn) <= kInlineBytes &&
+                  alignof(Fn) <= alignof(std::max_align_t)) {
+      ::new (static_cast<void*>(buf_)) Fn(std::forward<F>(f));
+      ops_ = &inline_ops<Fn>;
+    } else {
+      *reinterpret_cast<void**>(buf_) = new Fn(std::forward<F>(f));
+      ops_ = &heap_ops<Fn>;
+    }
+  }
 
   void move_from(InlineAction& other) noexcept {
     ops_ = other.ops_;
     if (ops_ != nullptr) {
-      ops_->relocate(buf_, other.buf_);
+      if (ops_->relocate == nullptr) {
+        std::memcpy(buf_, other.buf_, kInlineBytes);
+      } else {
+        ops_->relocate(buf_, other.buf_);
+      }
       other.ops_ = nullptr;
     }
   }

@@ -45,22 +45,13 @@ EventQueue::EventQueue(EventQueueKind kind) : kind_(kind) {
   if (kind_ == EventQueueKind::kHeap) heap_.reserve(kInitialSlotCapacity);
 }
 
-EventHandle EventQueue::schedule(Time when, Action action, bool late) {
-  assert(action);
-  const std::uint64_t seq = next_seq_++;
-  std::uint32_t slot;
-  if (!free_slots_.empty()) {
-    slot = free_slots_.back();
-    free_slots_.pop_back();
-  } else {
-    slot = static_cast<std::uint32_t>(slots_.size());
-    slots_.emplace_back();
-  }
+EventHandle EventQueue::enqueue(Time when, bool late, std::uint32_t slot) {
   Slot& s = slots_[slot];
+  assert(s.action);
   assert(!s.live);
-  s.action = std::move(action);
   s.live = true;
   const std::uint64_t gen = s.gen;
+  const std::uint64_t seq = next_seq_++;
 
   if (kind_ == EventQueueKind::kCalendar && when < base_) rewind(when);
   if (kind_ == EventQueueKind::kCalendar &&
@@ -105,14 +96,14 @@ EventQueue::Popped EventQueue::pop() {
   assert(live_count_ > 0 && "pop() on empty EventQueue");
   const std::uint32_t slot = head_slot_;
   assert(slots_[slot].live);
-  Popped out;
-  out.time = head_time_;
-  out.action = std::move(slots_[slot].action);
+  Popped out{head_time_, std::move(slots_[slot].action)};
+  // The wheel list the head came from; lists_.size() for the heap.
+  std::size_t list = lists_.size();
   if (wheel_size_ > 0) {
     // The wheel holds everything before the horizon, so a non-empty wheel
     // holds the head, at the front of its list.
-    const std::uint32_t front =
-        unlink_front(2 * bucket_of(head_time_) + head_late_);
+    list = 2 * bucket_of(head_time_) + head_late_;
+    const std::uint32_t front = unlink_front(list);
     assert(front == slot);
     (void)front;
   } else {
@@ -126,8 +117,21 @@ EventQueue::Popped EventQueue::pop() {
     base_ = out.time;
     migrate();
   }
+  // Fast path: the next entry of the same tick — the rest of the head's
+  // list, then (from a normal list) the tick's late list — is the new head
+  // when it is live. Every other parked entry is later, and migrate() only
+  // brings in entries past this tick. A dead or missing successor leaves
+  // the drop and the bitmap scan to settle(), so rule (a) is unchanged.
   head_slot_ = kNil;
-  settle();
+  if (list < lists_.size()) {
+    std::uint32_t next = lists_[list].head;
+    if (next == kNil && !head_late_) {
+      next = lists_[list + 1].head;
+      head_late_ = true;
+    }
+    if (next != kNil && slots_[next].live) head_slot_ = next;
+  }
+  if (head_slot_ == kNil) settle();
   rebudget();
   return out;
   // The caller runs the action after we return, so a re-entrant schedule()

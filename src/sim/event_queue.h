@@ -3,6 +3,7 @@
 
 #include <array>
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "sim/action.h"
@@ -95,7 +96,15 @@ class EventQueue {
   /// pump self-schedules use the late class so that a pump scheduled far
   /// ahead (the burst fast path) and one scheduled one byte-time ahead
   /// (per-byte stepping) land at the same position in the tick.
-  EventHandle schedule(Time when, Action action, bool late = false);
+  ///
+  /// `action` is any void() callable (or an InlineAction rvalue); it is
+  /// constructed directly in its arena slot, never moved on the way in.
+  template <typename F>
+  EventHandle schedule(Time when, F&& action, bool late = false) {
+    const std::uint32_t slot = acquire_slot();
+    slots_[slot].action.emplace(std::forward<F>(action));
+    return enqueue(when, late, slot);
+  }
 
   /// Cancels a previously scheduled event. Cancelling an already-fired or
   /// already-cancelled event is a harmless no-op.
@@ -181,6 +190,19 @@ class EventQueue {
     return base_ + static_cast<Time>((bucket - bucket_of(base_)) &
                                      (kWheelTicks - 1));
   }
+  /// Takes a free arena slot (recycled first), growing the arena if none.
+  std::uint32_t acquire_slot() {
+    if (free_slots_.empty()) {
+      slots_.emplace_back();
+      return static_cast<std::uint32_t>(slots_.size() - 1);
+    }
+    const std::uint32_t slot = free_slots_.back();
+    free_slots_.pop_back();
+    return slot;
+  }
+  /// Parks the event whose action `slot` now holds; schedule()'s
+  /// non-template half.
+  EventHandle enqueue(Time when, bool late, std::uint32_t slot);
   [[nodiscard]] std::size_t first_bucket() const;
   void append(Time t, bool late, std::uint32_t slot);
   /// Unlinks the front of `list`, clearing the bucket bit when it empties.

@@ -15,8 +15,9 @@ FaultInjector::FaultInjector(RandomStream rng, FaultConfig config)
 }
 
 void FaultInjector::rearm() {
-  armed_ = config_.any() || !outages_.empty() || !forced_kills_.empty() ||
-           forced_ctrl_drops_ > 0 || forced_rx_drops_ > 0;
+  armed_ = config_.any() || !all_channels_.empty() || !by_channel_.empty() ||
+           !forced_kills_.empty() || forced_ctrl_drops_ > 0 ||
+           forced_rx_drops_ > 0;
 }
 
 namespace {
@@ -91,18 +92,40 @@ bool FaultInjector::should_drop_rx(WormId id, HostId host, Time now) {
   return false;
 }
 
+void FaultInjector::Windows::add(Time from, Time until) {
+  // Insert after every window with the same start (windows mostly arrive
+  // in start order, so this is usually an append), then redo the running
+  // max from the insertion point on.
+  auto pos = std::upper_bound(
+      windows_.begin(), windows_.end(), from,
+      [](Time t, const Window& w) { return t < w.from; });
+  pos = windows_.insert(pos, Window{from, until, until});
+  for (auto it = pos; it != windows_.end(); ++it)
+    it->reach = it == windows_.begin() ? it->until
+                                       : std::max(it->until, (it - 1)->reach);
+}
+
+bool FaultInjector::Windows::covers(Time now) const {
+  const auto after = std::upper_bound(
+      windows_.begin(), windows_.end(), now,
+      [](Time t, const Window& w) { return t < w.from; });
+  return after != windows_.begin() && (after - 1)->reach > now;
+}
+
+FaultInjector::Windows& FaultInjector::windows_of(const void* channel) {
+  return channel == nullptr ? all_channels_ : by_channel_[channel];
+}
+
 void FaultInjector::schedule_outage(const void* channel, Time from, Time until) {
   assert(from < until);
-  outages_.push_back(Outage{channel, from, until});
+  windows_of(channel).add(from, until);
   rearm();
 }
 
 bool FaultInjector::link_down(const void* channel, Time now) const {
-  for (const Outage& o : outages_) {
-    if (o.channel != nullptr && o.channel != channel) continue;
-    if (now >= o.from && now < o.until) return true;
-  }
-  return false;
+  if (all_channels_.covers(now)) return true;
+  const auto it = by_channel_.find(channel);
+  return it != by_channel_.end() && it->second.covers(now);
 }
 
 int FaultInjector::schedule_flaps(const void* channel, Time from, Time horizon,
@@ -123,7 +146,7 @@ int FaultInjector::schedule_flaps(const void* channel, Time from, Time horizon,
         draw_key(kFlapSalt, key, static_cast<Time>(2 * i + 1)), key, 2 * i + 1);
     const Time until = std::min(t + down, horizon);
     if (until > t) {
-      outages_.push_back(Outage{channel, t, until});
+      windows_of(channel).add(t, until);
       ++windows;
     }
     t = until + up;
@@ -135,7 +158,7 @@ int FaultInjector::schedule_flaps(const void* channel, Time from, Time horizon,
 }
 
 void FaultInjector::kill_link(const void* channel) {
-  outages_.push_back(Outage{channel, 0, kTimeNever});
+  windows_of(channel).add(0, kTimeNever);
   ++links_killed_;
   rearm();
 }

@@ -28,6 +28,7 @@
 
 #include <cstdint>
 #include <deque>
+#include <unordered_map>
 #include <unordered_set>
 #include <vector>
 
@@ -165,12 +166,30 @@ class FaultInjector {
   FaultConfig config_;
   bool armed_ = false;
 
-  struct Outage {
-    const void* channel = nullptr;  // nullptr = every channel
-    Time from = 0;
-    Time until = 0;
+  /// The outage windows of one channel (or of every channel), sorted by
+  /// start, each with the running max of the ends up to it. The link is
+  /// down at `now` iff some window starting at or before `now` ends after
+  /// it, i.e. iff that running max at the last such window exceeds `now`
+  /// — exact for overlapping windows (an outage on top of a flap cycle, a
+  /// kill on top of either), in one binary search per worm head.
+  class Windows {
+   public:
+    void add(Time from, Time until);
+    [[nodiscard]] bool covers(Time now) const;
+    [[nodiscard]] bool empty() const { return windows_.empty(); }
+
+   private:
+    struct Window {
+      Time from = 0;
+      Time until = 0;
+      Time reach = 0;  // max `until` over this and every earlier window
+    };
+    std::vector<Window> windows_;
   };
-  std::vector<Outage> outages_;
+  Windows& windows_of(const void* channel);
+
+  Windows all_channels_;  // schedule_outage(nullptr, ...)
+  std::unordered_map<const void*, Windows> by_channel_;
 
   struct ForcedKill {
     HostId dst = kNoHost;  // kNoHost = any destination

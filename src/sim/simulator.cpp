@@ -1,24 +1,8 @@
 #include "sim/simulator.h"
 
 #include <cassert>
-#include <utility>
 
 namespace wormcast {
-
-EventHandle Simulator::at(Time when, EventQueue::Action action) {
-  assert(when >= now_ && "scheduling into the past");
-  return queue_.schedule(when, std::move(action));
-}
-
-EventHandle Simulator::after(Time delay, EventQueue::Action action) {
-  assert(delay >= 0 && "negative delay");
-  return queue_.schedule(now_ + delay, std::move(action));
-}
-
-EventHandle Simulator::at_late(Time when, EventQueue::Action action) {
-  assert(when >= now_ && "scheduling into the past");
-  return queue_.schedule(when, std::move(action), /*late=*/true);
-}
 
 void Simulator::dispatch_one() {
   auto [time, action] = queue_.pop();

@@ -2,8 +2,9 @@
 #pragma once
 
 #include <atomic>
+#include <cassert>
 #include <cstdint>
-#include <functional>
+#include <utility>
 
 #include "sim/event_queue.h"
 #include "sim/trace.h"
@@ -26,17 +27,31 @@ class Simulator {
 
   [[nodiscard]] Time now() const { return now_; }
 
-  /// Schedules `action` at absolute time `when >= now()`.
-  EventHandle at(Time when, EventQueue::Action action);
+  /// Schedules `action` at absolute time `when >= now()`. Like every
+  /// scheduling call, takes any void() callable (or an InlineAction
+  /// rvalue) and builds it directly in the event queue's arena slot.
+  template <typename F>
+  EventHandle at(Time when, F&& action) {
+    assert(when >= now_ && "scheduling into the past");
+    return queue_.schedule(when, std::forward<F>(action));
+  }
 
   /// Schedules `action` at `now() + delay`, `delay >= 0`.
-  EventHandle after(Time delay, EventQueue::Action action);
+  template <typename F>
+  EventHandle after(Time delay, F&& action) {
+    assert(delay >= 0 && "negative delay");
+    return queue_.schedule(now_ + delay, std::forward<F>(action));
+  }
 
   /// Late-class variant of at(): fires after every same-time normal event
   /// no matter when it was inserted. Used for channel pump self-schedules
   /// so burst-mode (scheduled a whole run ahead) and per-byte (scheduled
   /// one byte-time ahead) pumps occupy the same slot within a tick.
-  EventHandle at_late(Time when, EventQueue::Action action);
+  template <typename F>
+  EventHandle at_late(Time when, F&& action) {
+    assert(when >= now_ && "scheduling into the past");
+    return queue_.schedule(when, std::forward<F>(action), /*late=*/true);
+  }
 
   void cancel(EventHandle handle) { queue_.cancel(handle); }
 
@@ -72,12 +87,21 @@ class Simulator {
   }
 
   /// Progress accounting: bumped by components when a byte of payload moves
-  /// anywhere in the network. Monotone; used for deadlock detection. Relaxed
-  /// atomic so the watchdog (running on executor 0 of a sharded engine) can
-  /// read another executor's counter mid-window without a data race; the
-  /// counter orders nothing, it only has to move when payload moves.
+  /// anywhere in the network. Monotone; used for deadlock detection.
+  ///
+  /// Single-writer invariant: only the thread running this Simulator's
+  /// events ever calls note_progress() on it. A channel bumps its
+  /// transmitter's Simulator from the pump (swallowed bytes) and from
+  /// deliver_front(), both TX-side events; in cross-executor mode
+  /// deliver_remote() runs on the receiver's executor and bumps that
+  /// executor's Simulator. So the update is a plain load and store — no
+  /// locked read-modify-write on the per-delivery path. The counter stays
+  /// a relaxed atomic so the watchdog (on executor 0 of a sharded engine)
+  /// can read another executor's counter mid-window without a data race;
+  /// it orders nothing, it only has to move when payload moves.
   void note_progress(std::int64_t amount = 1) {
-    progress_.fetch_add(amount, std::memory_order_relaxed);
+    progress_.store(progress_.load(std::memory_order_relaxed) + amount,
+                    std::memory_order_relaxed);
   }
   [[nodiscard]] std::int64_t progress() const {
     return progress_.load(std::memory_order_relaxed);

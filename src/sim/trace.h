@@ -15,6 +15,7 @@
 #pragma once
 
 #include <cstdint>
+#include <limits>
 #include <vector>
 
 #include "sim/types.h"
@@ -132,9 +133,10 @@ class Tracer {
   }
   [[nodiscard]] std::size_t capacity() const { return ring_.size(); }
 
-  /// The last min(last_n, recorded, capacity) events, oldest first.
+  /// The last min(last_n, recorded, capacity) events, oldest first; by
+  /// default everything the ring still holds.
   [[nodiscard]] std::vector<TraceEvent> snapshot(
-      std::size_t last_n = kDefaultCapacity * 16) const;
+      std::size_t last_n = std::numeric_limits<std::size_t>::max()) const;
 
  private:
   bool enabled_ = false;

@@ -330,6 +330,22 @@ TEST(CheckExpectations, RefusesWhenRingWrapped) {
   EXPECT_NE(rep.refusal.find("wrapped"), std::string::npos);
 }
 
+// A ring larger than 2^20 that holds more than 2^20 events is checked
+// whole: snapshot() used to cap at the last 2^20 events, so the checker
+// silently judged a suffix while reporting nothing dropped.
+TEST(CheckExpectations, ChecksEveryEventOfARingLargerThanTwoToTheTwenty) {
+  Network net(make_myrinet_testbed(), {make_full_group(8)}, lossy_config(0.0));
+  net.enable_tracing(std::size_t{1} << 21);
+  inject_multicasts(net, 40, 8192);
+  net.run_to_quiescence();
+  ASSERT_GT(net.trace_recorded(), std::int64_t{1} << 20);
+  ASSERT_EQ(net.trace_dropped(), 0);
+  const CheckReport rep = net.check_expectations();
+  EXPECT_TRUE(rep.ok()) << rep.format();
+  EXPECT_EQ(rep.events_checked, net.trace_recorded());
+  EXPECT_EQ(rep.events_dropped, 0);
+}
+
 // --- the standard rule pack, end to end --------------------------------------
 
 TEST(CheckExpectations, CleanLossyRunPassesStandardRules) {

@@ -3,6 +3,8 @@
 // recoveries and the same statistics, bit for bit.
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "core/network.h"
 #include "net/topologies.h"
 
@@ -71,6 +73,75 @@ TEST(FaultDeterminism, LinkDownQueryNeverCounts) {
   EXPECT_TRUE(faults.link_down(&channel_tag, 1'000'000'000));
   EXPECT_EQ(faults.links_killed(), 1);
   EXPECT_EQ(faults.outage_drops(), 1);
+}
+
+// link_down() answers from per-channel window indexes; it must agree with
+// a brute-force scan of every window, including overlapping windows added
+// out of order, a global outage, a permanent kill and a flap cycle with an
+// outage on top of it.
+TEST(FaultDeterminism, LinkDownMatchesBruteForceScan) {
+  struct Window {
+    const void* channel;  // nullptr = every channel
+    Time from;
+    Time until;
+  };
+  const int a = 0, b = 0, c = 0, d = 0;  // channel identity keys
+  constexpr Time kHorizon = 3'000;
+  const std::vector<Window> outages = {
+      {&a, 400, 900}, {&a, 100, 300}, {&a, 150, 1'200}, {&a, 150, 160},
+      {&a, 1'500, 1'501}, {&a, 1'400, 1'600}, {&b, 50, 70},
+      {nullptr, 2'000, 2'100}, {nullptr, 2'050, 2'060}, {&c, 600, 2'400}};
+
+  // The flap windows are the injector's own draws: read them back off an
+  // injector holding nothing else.
+  const auto schedule_flaps = [&](FaultInjector& f) {
+    return f.schedule_flaps(&c, 10, kHorizon, 40, 60, /*key=*/77);
+  };
+  FaultInjector flaps_only(RandomStream(5));
+  const int flap_count = schedule_flaps(flaps_only);
+  EXPECT_GT(flap_count, 10);
+  std::vector<Window> flaps;
+  for (Time t = 0, start = -1; t <= kHorizon; ++t) {
+    const bool down = flaps_only.link_down(&c, t);
+    if (down && start < 0) start = t;
+    if (!down && start >= 0) {
+      flaps.push_back({&c, start, t});
+      start = -1;
+    }
+  }
+  EXPECT_EQ(static_cast<int>(flaps.size()), flap_count);
+
+  FaultInjector faults(RandomStream(5));
+  EXPECT_EQ(schedule_flaps(faults), flap_count);
+  for (const Window& w : outages)
+    faults.schedule_outage(w.channel, w.from, w.until);
+  const auto covered = [](const std::vector<Window>& list, const void* ch,
+                           Time t) {
+    for (const Window& w : list)
+      if ((w.channel == nullptr || w.channel == ch) && t >= w.from &&
+          t < w.until)
+        return true;
+    return false;
+  };
+  const auto brute_force = [&](const void* ch, Time t, bool killed) {
+    return (killed && ch == &b) || covered(outages, ch, t) ||
+           covered(flaps, ch, t);
+  };
+  for (const bool killed : {false, true}) {
+    if (killed) faults.kill_link(&b);
+    for (const void* ch : {static_cast<const void*>(&a),
+                           static_cast<const void*>(&b),
+                           static_cast<const void*>(&c),
+                           static_cast<const void*>(&d)}) {
+      for (Time t = 0; t <= kHorizon; ++t) {
+        ASSERT_EQ(faults.link_down(ch, t), brute_force(ch, t, killed))
+            << "channel " << (ch == &a ? 'a' : ch == &b ? 'b' : ch == &c ? 'c' : 'd')
+            << " t=" << t << (killed ? " after kill" : "");
+      }
+    }
+  }
+  EXPECT_TRUE(faults.link_down(&b, 1'000'000'000));
+  EXPECT_FALSE(faults.link_down(&d, 1'000));
 }
 
 TEST(FaultDeterminism, DifferentSeedDifferentFaults) {

@@ -73,6 +73,29 @@ TEST(ShardDeterminism, AllSendMatchesUnshardedBitForBit) {
   }
 }
 
+// The deadlock watchdog runs on executor 0 and, under sharding, sums every
+// executor's progress counter while worker executors are mid-window bumping
+// their own. Each counter has a single writer (its executor's thread) and
+// the watchdog only reads, which the relaxed-atomic counter must keep
+// race-free (the TSan job runs this). A healthy run never trips it.
+TEST(ShardDeterminism, WatchdogReadsWorkerProgressMidWindow) {
+  Network net(make_torus(4, 4), {make_full_group(16)}, sharded_config(4));
+  const DeadlockWatchdog& dog = net.attach_watchdog(200);
+  for (HostId h = 0; h < 16; ++h) {
+    Demand d;
+    d.src = h;
+    d.multicast = true;
+    d.group = 0;
+    d.length = 600;
+    net.inject(d);
+  }
+  net.run_until(20'000);  // quiescent by ~10k
+  EXPECT_FALSE(dog.deadlock_detected()) << dog.report();
+  EXPECT_EQ(net.summary().messages_completed, 16);
+  ASSERT_NE(net.engine(), nullptr);
+  EXPECT_GT(net.engine()->progress(), net.sim().progress());
+}
+
 TEST(ShardDeterminism, MoreShardsThanSwitchesClampsAndStillMatches) {
   std::int64_t bytes1 = 0;
   std::int64_t payload1 = 0;

@@ -355,5 +355,132 @@ TEST(Channel, DetachFeedStopsTransmissionSilently) {
   EXPECT_FALSE(feed.tail_sent());
 }
 
+/// Sends a fixed sequence of worms back to back (re-attaching itself after
+/// each tail), advertising bursts for the body bytes when asked.
+class WormTrainFeed final : public ByteFeed {
+ public:
+  WormTrainFeed(Channel& ch, std::vector<std::int64_t> lengths, bool bursts)
+      : ch_(ch), lengths_(std::move(lengths)), bursts_(bursts) {}
+
+  [[nodiscard]] bool byte_available() const override {
+    return worm_ < lengths_.size();
+  }
+  TxByte take_byte() override {
+    TxByte b;
+    b.head = sent_ == 0;
+    if (b.head) {
+      b.worm = worm_of(static_cast<std::int64_t>(worm_));
+      b.worm->id = worm_ + 1;
+      b.wire_len = len();
+    }
+    ++sent_;
+    b.tail = sent_ == len();
+    return b;
+  }
+  [[nodiscard]] std::int64_t burst_available() const override {
+    if (!bursts_ || sent_ == 0) return 0;
+    return len() - 1 - sent_;  // everything but the tail byte
+  }
+  std::int64_t take_bytes(std::int64_t max) override {
+    const std::int64_t n = std::min(max, burst_available());
+    sent_ += n;
+    return n;
+  }
+  void on_tail_sent() override {
+    sent_ = 0;
+    if (++worm_ < lengths_.size()) ch_.attach_feed(this);
+  }
+
+ private:
+  [[nodiscard]] std::int64_t len() const { return lengths_[worm_]; }
+
+  Channel& ch_;
+  std::vector<std::int64_t> lengths_;
+  bool bursts_;
+  std::size_t worm_ = 0;
+  std::int64_t sent_ = 0;
+};
+
+/// Records every byte as (logical arrival time, worm id of its worm, head,
+/// tail), expanding bursts to their per-byte arrival times.
+class ArrivalLog final : public RxSink {
+ public:
+  struct Byte {
+    Time at = 0;
+    std::uint64_t worm = 0;
+    bool head = false;
+    bool tail = false;
+    bool operator==(const Byte&) const = default;
+  };
+  explicit ArrivalLog(Simulator& sim) : sim_(sim) {}
+  void on_head(const WormPtr& worm, std::int64_t wire_len, bool tail) override {
+    worm_ = worm->id;
+    wire_lens.push_back(wire_len);
+    bytes.push_back(Byte{sim_.now(), worm_, true, tail});
+  }
+  void on_body(bool tail) override {
+    bytes.push_back(Byte{sim_.now(), worm_, false, tail});
+  }
+  [[nodiscard]] std::int64_t rx_burst_budget() const override { return 1 << 20; }
+  void on_body_burst(std::int64_t n, bool tail) override {
+    for (std::int64_t i = 0; i < n; ++i)
+      bytes.push_back(Byte{sim_.now() + i, worm_, false, tail && i == n - 1});
+    ++bursts;
+  }
+
+  Simulator& sim_;
+  std::uint64_t worm_ = 0;
+  std::vector<Byte> bytes;
+  std::vector<std::int64_t> wire_lens;
+  std::int64_t bursts = 0;
+};
+
+// A long-delay channel keeps hundreds of runs (and, with short worms, tens
+// of heads) in flight, so the in-flight ring grows several times and wraps
+// many times. Bytes must land in order, at exactly send time + delay, the
+// same in burst and per-byte mode; and the window costs nothing until the
+// channel first sends.
+TEST(Channel, LongDelayInFlightRingKeepsOrderAndTiming) {
+  constexpr Time kDelay = 300;
+  std::vector<std::int64_t> lengths;
+  for (int rep = 0; rep < 12; ++rep)
+    for (const std::int64_t len : {2, 3, 40, 2, 5, 400, 7, 1})
+      lengths.push_back(len);
+  const auto run_mode = [&](bool burst) {
+    Simulator sim;
+    Channel ch(sim, kDelay);
+    ch.set_burst_enabled(burst);
+    ArrivalLog log(sim);
+    ch.set_sink(&log);
+    EXPECT_EQ(ch.heap_bytes_estimate(), sizeof(Channel));
+    WormTrainFeed feed(ch, lengths, burst);
+    ch.attach_feed(&feed);
+    sim.run_until(0);
+    EXPECT_GT(ch.heap_bytes_estimate(), sizeof(Channel));
+    sim.run();
+    EXPECT_EQ(ch.bytes_sent(), static_cast<std::int64_t>(log.bytes.size()));
+    return log;
+  };
+  const ArrivalLog per_byte = run_mode(false);
+  const ArrivalLog burst = run_mode(true);
+
+  // Reference: byte i of the train goes out at t=i (the feed never
+  // starves) and lands delay later.
+  std::vector<ArrivalLog::Byte> expected;
+  for (std::size_t w = 0; w < lengths.size(); ++w) {
+    for (std::int64_t i = 0; i < lengths[w]; ++i) {
+      expected.push_back(ArrivalLog::Byte{
+          static_cast<Time>(expected.size()) + kDelay, w + 1, i == 0,
+          i == lengths[w] - 1});
+    }
+  }
+  EXPECT_EQ(per_byte.bytes, expected);
+  EXPECT_EQ(burst.bytes, expected);
+  EXPECT_EQ(per_byte.wire_lens, lengths);
+  EXPECT_EQ(burst.wire_lens, lengths);
+  EXPECT_EQ(per_byte.bursts, 0);
+  EXPECT_GT(burst.bursts, 0);
+}
+
 }  // namespace
 }  // namespace wormcast
