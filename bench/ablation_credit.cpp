@@ -19,14 +19,8 @@ using namespace wormcast;
 
 namespace {
 
-struct Point {
-  double latency = 0.0;
-  std::int64_t completed = 0;
-  std::int64_t outstanding = 0;
-};
-
-Point run_case(Scheme scheme, double load, Time token_interval,
-               Time warmup, Time measure) {
+double run_case(Scheme scheme, double load, Time token_interval, Time warmup,
+                Time measure) {
   RandomStream grng(501);
   auto groups = make_random_groups(4, 6, 16, grng);
   ExperimentConfig cfg;
@@ -39,41 +33,41 @@ Point run_case(Scheme scheme, double load, Time token_interval,
   cfg.traffic.multicast_fraction = 0.3;
   Network net(make_torus(4, 4), std::move(groups), cfg);
   net.run(warmup, measure, /*drain_cap=*/1'500'000);
-  Point out;
-  out.latency = net.summary().mcast_latency_mean;
-  out.completed = net.metrics().messages_completed();
-  out.outstanding = net.summary().outstanding;
-  return out;
+  return net.summary().mcast_latency_mean;
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  const bool quick = argc > 1 && std::string(argv[1]) == "--quick";
-  const Time warmup = quick ? 10'000 : 30'000;
-  const Time measure = quick ? 60'000 : 200'000;
+  const bench::BenchArgs args =
+      bench::parse_bench_args(argc, argv, bench::kQuick | bench::kJobs);
+  const Time warmup = args.quick ? 10'000 : 30'000;
+  const Time measure = args.quick ? 60'000 : 200'000;
 
   std::printf("# Ablation E: optimistic reservation (tree, serialized) vs "
               "[VLB96] centralized credits; 4 groups x 6 members, 4x4 "
               "torus, binary trees\n");
-  bench::print_header("offered_load",
-                      {"optimistic_lat", "credit_tok2k_lat",
-                       "credit_tok10k_lat", "credit_tok40k_lat"});
   const std::vector<double> loads =
-      quick ? std::vector<double>{0.01, 0.03}
-            : std::vector<double>{0.005, 0.01, 0.02, 0.03, 0.04};
-  for (const double load : loads) {
-    const Point opt =
-        run_case(Scheme::kTreeSF, load, 2'000, warmup, measure);
-    const Point c2k =
-        run_case(Scheme::kCentralizedCredit, load, 2'000, warmup, measure);
-    const Point c10k =
-        run_case(Scheme::kCentralizedCredit, load, 10'000, warmup, measure);
-    const Point c40k =
-        run_case(Scheme::kCentralizedCredit, load, 40'000, warmup, measure);
-    std::printf("%.3f,%.0f,%.0f,%.0f,%.0f\n", load, opt.latency, c2k.latency,
-                c10k.latency, c40k.latency);
-    std::fflush(stdout);
-  }
-  return 0;
+      args.quick ? std::vector<double>{0.01, 0.03}
+                 : std::vector<double>{0.005, 0.01, 0.02, 0.03, 0.04};
+  // Series 0 is the optimistic tree scheme; the rest are credit schemes.
+  const Time tokens[] = {2'000, 2'000, 10'000, 40'000};
+  const char* const names[] = {"optimistic_lat", "credit_tok2k_lat",
+                               "credit_tok10k_lat", "credit_tok40k_lat"};
+
+  bench::Sweep sweep{.xs = loads.size(), .series = std::size(tokens)};
+  sweep.point = [&](const bench::Point& p) {
+    const Scheme scheme =
+        p.series == 0 ? Scheme::kTreeSF : Scheme::kCentralizedCredit;
+    return bench::Sample{
+        run_case(scheme, loads[p.x], tokens[p.series], warmup, measure)};
+  };
+  const auto table = [&](std::size_t x, const bench::Results& r) {
+    bench::Cells row{bench::col("offered_load", "%.3f", loads[x])};
+    for (std::size_t s = 0; s < std::size(names); ++s)
+      row.push_back(bench::col(names[s], "%.0f", r.mean(x, s, 0)));
+    return row;
+  };
+  sweep.views = {{"", "", table}};
+  return bench::run_sweep(args, sweep);
 }

@@ -35,18 +35,29 @@ double one_shot_latency(Scheme scheme, Time delay) {
 
 }  // namespace
 
-int main(int, char**) {
+int main(int argc, char** argv) {
+  // Every point is one multicast on an idle network, so the sweep is
+  // already quick-sized: --quick runs the same points.
+  const bench::BenchArgs args =
+      bench::parse_bench_args(argc, argv, bench::kQuick | bench::kJobs);
   std::printf("# Ablation C: multicast completion latency (byte-times) vs "
               "link propagation delay; 8-member group, 1 KB, idle 4x4 torus\n");
-  bench::print_header("prop_delay", {"hamiltonian_sf", "hamiltonian_ct",
-                                     "tree_sf", "tree_broadcast"});
-  for (const Time delay : {5L, 50L, 200L, 500L, 1000L}) {
-    std::printf("%lld,%.0f,%.0f,%.0f,%.0f\n", static_cast<long long>(delay),
-                one_shot_latency(Scheme::kHamiltonianSF, delay),
-                one_shot_latency(Scheme::kHamiltonianCT, delay),
-                one_shot_latency(Scheme::kTreeSF, delay),
-                one_shot_latency(Scheme::kTreeBroadcast, delay));
-    std::fflush(stdout);
-  }
-  return 0;
+  const std::vector<Time> delays = {5, 50, 200, 500, 1000};
+  const Scheme schemes[] = {Scheme::kHamiltonianSF, Scheme::kHamiltonianCT,
+                            Scheme::kTreeSF, Scheme::kTreeBroadcast};
+  const char* const names[] = {"hamiltonian_sf", "hamiltonian_ct", "tree_sf",
+                               "tree_broadcast"};
+
+  bench::Sweep sweep{.xs = delays.size(), .series = std::size(schemes)};
+  sweep.point = [&](const bench::Point& p) {
+    return bench::Sample{one_shot_latency(schemes[p.series], delays[p.x])};
+  };
+  const auto table = [&](std::size_t x, const bench::Results& r) {
+    bench::Cells row{bench::col("prop_delay", "%lld", delays[x])};
+    for (std::size_t s = 0; s < std::size(names); ++s)
+      row.push_back(bench::col(names[s], "%.0f", r.mean(x, s, 0)));
+    return row;
+  };
+  sweep.views = {{"", "", table}};
+  return bench::run_sweep(args, sweep);
 }

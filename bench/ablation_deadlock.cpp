@@ -31,17 +31,14 @@ using namespace wormcast;
 
 namespace {
 
-struct RunResult {
-  bool wedged = false;
-  std::int64_t undelivered = 0;
-  std::int64_t nacks = 0;
-  Time drain_time = 0;        // valid when !wedged
-  std::string wedge_report;   // debug report + trace tail when wedged
-};
+// A run wedged iff it has no drain time.
+enum Metric { kUndelivered, kNacks, kDrainTime };
 
-RunResult run_one(bool classes, int burst_per_member, int seed, Time horizon,
-                  std::size_t trace_cap, bench::CheckCollector& checks,
-                  std::size_t slot, std::string label) {
+/// One burst-drain run; a wedged run also leaves its diagnostic dump in
+/// `*wedge_report`.
+bench::Sample run_one(bool classes, int burst_per_member, int seed,
+                      Time horizon, const bench::Point& pt,
+                      const std::string& label, std::string* wedge_report) {
   RandomStream grng(7000 + seed);
   auto groups = make_random_groups(6, 8, 16, grng);
   ExperimentConfig cfg;
@@ -60,7 +57,7 @@ RunResult run_one(bool classes, int burst_per_member, int seed, Time horizon,
   // so the stall explains *how* it happened, not just where it stands.
   // Under --check the ring must hold the whole run (a wrapped ring makes
   // the checker refuse), so it takes the checking capacity instead.
-  net.enable_tracing(checks.enabled() ? trace_cap : 8192);
+  net.enable_tracing(pt.checks->enabled() ? pt.trace_cap : 8192);
   bench::arm_watchdog(net, 400'000);
 
   RandomStream lens(200 + static_cast<std::uint64_t>(seed));
@@ -81,126 +78,83 @@ RunResult run_one(bool classes, int burst_per_member, int seed, Time horizon,
     }
   }
   net.run_until(horizon);
-  checks.collect(slot, net, std::move(label));
+  pt.checks->collect(pt.slot, net, label);
   const auto s = net.summary();
-  RunResult r;
-  r.nacks = s.nacks;
-  if (s.outstanding > 0) {
-    // A wedged run explains itself: per-host state plus the recorder's
-    // last decisions. The NACK livelock keeps *events* flowing, so the
-    // stall watchdog stays quiet — capture at the horizon instead. The
-    // caller prints one report per configuration; the rest just count.
-    r.wedged = true;
-    r.undelivered = s.outstanding;
-    r.wedge_report =
-        net.debug_report() + format_trace_tail(net.sim().tracer());
-  } else {
-    r.drain_time = net.metrics().last_completion_time();
-  }
-  return r;
+  if (s.outstanding == 0)
+    return {0.0, s.nacks, net.metrics().last_completion_time()};
+  // A wedged run explains itself: per-host state plus the recorder's last
+  // decisions. The NACK livelock keeps *events* flowing, so the stall
+  // watchdog stays quiet — capture at the horizon instead.
+  *wedge_report = net.debug_report() + format_trace_tail(net.sim().tracer());
+  return {s.outstanding, s.nacks, std::nullopt};
 }
 
-struct Outcome {
-  int wedged_runs = 0;
-  std::int64_t undelivered = 0;
-  std::int64_t nacks = 0;
-  double mean_drain_time = 0.0;  // over runs that completed
-  int completed_runs = 0;
-};
-
-/// Folds per-seed results in seed order; prints the first wedged seed's
-/// diagnostic dump (one per configuration is enough to diagnose).
-Outcome merge_seeds(const std::vector<RunResult>& runs, bool classes,
-                    int first_seed) {
-  Outcome out;
-  for (std::size_t i = 0; i < runs.size(); ++i) {
-    const RunResult& r = runs[i];
-    if (r.wedged) {
-      if (out.wedged_runs == 0)
+/// Folds configuration `cfg`'s runs at burst `x` in seed order into its
+/// four columns of `row` (named `n`_...); prints the first wedged seed's
+/// dump from `wedge_reports` (by task slot; one per configuration is
+/// enough to diagnose).
+void add_config(bench::Cells& row, const std::string& n,
+                const bench::Results& r, std::size_t x, std::size_t cfg,
+                std::size_t seeds,
+                const std::vector<std::string>& wedge_reports) {
+  double wedged = 0, undelivered = 0, nacks = 0, drain = 0;
+  int completed = 0;
+  for (std::size_t i = 0; i < seeds; ++i) {
+    const bench::Sample& s = r.sample(x, cfg, i);
+    if (!s[kDrainTime].has_value()) {
+      if (wedged == 0)
         std::fprintf(stderr,
-                     "# wedged run (classes=%d seed=%d): %lld undelivered\n%s",
-                     classes ? 1 : 0, first_seed + static_cast<int>(i),
-                     static_cast<long long>(r.undelivered),
-                     r.wedge_report.c_str());
-      ++out.wedged_runs;
-      out.undelivered += r.undelivered;
+                     "# wedged run (classes=%d seed=%zu): %lld undelivered\n%s",
+                     cfg == 0 ? 1 : 0, 1 + i,
+                     static_cast<long long>(*s[kUndelivered]),
+                     wedge_reports[(x * 2 + cfg) * seeds + i].c_str());
+      ++wedged;
+      undelivered += *s[kUndelivered];
     } else {
-      ++out.completed_runs;
-      out.mean_drain_time += static_cast<double>(r.drain_time);
+      ++completed;
+      drain += *s[kDrainTime];
     }
-    out.nacks += r.nacks;
+    nacks += *s[kNacks];
   }
-  if (out.completed_runs > 0) out.mean_drain_time /= out.completed_runs;
-  return out;
+  if (completed > 0) drain /= completed;  // mean over runs that completed
+  row.push_back(bench::col(n + "_wedged_runs", "%lld", wedged));
+  row.push_back(bench::col(n + "_undelivered", "%lld", undelivered));
+  row.push_back(bench::col(n + "_nacks", "%lld", nacks));
+  row.push_back(bench::col(n + "_drain_bt", "%.0f", drain));
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  const bench::BenchArgs args = bench::parse_bench_args(argc, argv);
-  const int seeds = args.quick ? 2 : 5;
+  const bench::BenchArgs args = bench::parse_bench_args(
+      argc, argv,
+      bench::kQuick | bench::kJobs | bench::kTraceCap | bench::kCheck);
+  const std::size_t seeds = args.quick ? 2 : 5;
   const Time horizon = args.quick ? 1'500'000 : 2'500'000;
   std::printf("# Ablation A: burst drain with the two-buffer-class rule "
               "on/off (equal memory; 6 groups x 8 members on 16 hosts; "
-              "%d seeds)\n",
+              "%zu seeds)\n",
               seeds);
-  bench::print_header("burst_per_member",
-                      {"on_wedged_runs", "on_undelivered", "on_nacks",
-                       "on_drain_bt", "off_wedged_runs", "off_undelivered",
-                       "off_nacks", "off_drain_bt"});
   const std::vector<int> bursts =
       args.quick ? std::vector<int>{2} : std::vector<int>{1, 2, 4};
 
-  // Task layout: for each burst intensity, `seeds` classes-on runs then
-  // `seeds` classes-off runs. Seeds are the historical 1..seeds.
-  const std::size_t per_cfg = static_cast<std::size_t>(seeds);
-  const std::size_t n_tasks = bursts.size() * 2 * per_cfg;
-  std::vector<RunResult> raw(n_tasks);
-  bench::JsonBench json("ablation_deadlock");
-  json.resize_rows(bursts.size());
-  bench::CheckCollector checks(args.check);
-  checks.resize(n_tasks);
-  const harness::WallTimer sweep;
-  harness::SweepRunner pool(args.jobs);
-  const auto walls = pool.run_indexed(n_tasks, [&](std::size_t i) {
-    const std::size_t cfg_idx = i / per_cfg;
-    const int seed = 1 + static_cast<int>(i % per_cfg);
-    const int burst = bursts[cfg_idx / 2];
-    const bool classes = (cfg_idx % 2) == 0;
-    char label[64];
-    std::snprintf(label, sizeof label, "burst=%d classes=%s seed=%d", burst,
-                  classes ? "on" : "off", seed);
-    raw[i] = run_one(classes, burst, seed, horizon, args.trace_cap, checks, i,
-                     label);
-  });
-
-  for (std::size_t b = 0; b < bursts.size(); ++b) {
-    auto cfg_runs = [&](std::size_t cfg_idx) {
-      return std::vector<RunResult>(
-          raw.begin() + static_cast<std::ptrdiff_t>(cfg_idx * per_cfg),
-          raw.begin() + static_cast<std::ptrdiff_t>((cfg_idx + 1) * per_cfg));
-    };
-    const Outcome on = merge_seeds(cfg_runs(b * 2), true, 1);
-    const Outcome off = merge_seeds(cfg_runs(b * 2 + 1), false, 1);
-    std::printf("%d,%d,%lld,%lld,%.0f,%d,%lld,%lld,%.0f\n", bursts[b],
-                on.wedged_runs, static_cast<long long>(on.undelivered),
-                static_cast<long long>(on.nacks), on.mean_drain_time,
-                off.wedged_runs, static_cast<long long>(off.undelivered),
-                static_cast<long long>(off.nacks), off.mean_drain_time);
-    json.set_row(b,
-                 {{"burst_per_member", static_cast<double>(bursts[b])},
-                  {"on_wedged_runs", static_cast<double>(on.wedged_runs)},
-                  {"on_undelivered", static_cast<double>(on.undelivered)},
-                  {"on_nacks", static_cast<double>(on.nacks)},
-                  {"on_drain_bt", on.mean_drain_time},
-                  {"off_wedged_runs", static_cast<double>(off.wedged_runs)},
-                  {"off_undelivered", static_cast<double>(off.undelivered)},
-                  {"off_nacks", static_cast<double>(off.nacks)},
-                  {"off_drain_bt", off.mean_drain_time}});
-  }
-  std::fflush(stdout);
-  bench::stamp_sweep_meta(json, pool, walls, sweep);
-  const int check_rc = checks.finalize(&json);
-  json.write();
-  return check_rc;
+  // Series: classes on, then off; reps are the historical seeds 1..seeds.
+  bench::Sweep sweep{.xs = bursts.size(), .series = 2, .reps = seeds};
+  std::vector<std::string> wedge_reports(sweep.xs * sweep.series * seeds);
+  sweep.point = [&](const bench::Point& p) {
+    const int seed = 1 + static_cast<int>(p.rep);
+    const bool classes = p.series == 0;
+    return run_one(classes, bursts[p.x], seed, horizon, p,
+                   bench::format("burst=%d classes=%s seed=%d", bursts[p.x],
+                                 classes ? "on" : "off", seed),
+                   &wedge_reports[p.slot]);
+  };
+  const auto table = [&](std::size_t x, const bench::Results& r) {
+    bench::Cells row{bench::col("burst_per_member", "%lld", bursts[x])};
+    add_config(row, "on", r, x, 0, seeds, wedge_reports);
+    add_config(row, "off", r, x, 1, seeds, wedge_reports);
+    return row;
+  };
+  sweep.views = {{"ablation_deadlock", "", table}};
+  return bench::run_sweep(args, sweep);
 }

@@ -56,9 +56,20 @@ double fabric_broadcast_latency(HostId src) {
   return net.metrics().mcast_completion().mean();
 }
 
+/// One table line: the header when `scheme` is null, else the scheme's
+/// completion latency.
+void print_line(const char* scheme, double latency = 0.0) {
+  bench::print_csv({bench::text_col("scheme", scheme ? scheme : ""),
+                    bench::col("completion_latency", "%.0f", latency)},
+                   scheme == nullptr);
+}
+
 }  // namespace
 
-int main(int, char**) {
+int main(int argc, char** argv) {
+  // One multicast per row on an idle network: the run is already
+  // quick-sized, so --quick runs the same rows.
+  (void)bench::parse_bench_args(argc, argv, bench::kQuick);
   std::printf("# Ablation D: switch-level (fabric) vs host-adapter "
               "multicast; completion latency (byte-times), 1 KB, idle 8x8 "
               "torus\n");
@@ -69,22 +80,19 @@ int main(int, char**) {
   const HostId src = 17;
 
   std::printf("\nmulticast to 8 members\n");
-  std::printf("scheme,completion_latency\n");
+  print_line(nullptr);
   for (const Scheme s :
        {Scheme::kRepeatedUnicast, Scheme::kHamiltonianSF,
-        Scheme::kHamiltonianCT, Scheme::kTreeSF, Scheme::kTreeBroadcast}) {
-    std::printf("%s,%.0f\n", scheme_name(s), host_scheme_latency(s, group, src));
-  }
-  std::printf("switch-fabric-tree,%.0f\n", fabric_mcast_latency(group, src));
+        Scheme::kHamiltonianCT, Scheme::kTreeSF, Scheme::kTreeBroadcast})
+    print_line(scheme_name(s), host_scheme_latency(s, group, src));
+  print_line("switch-fabric-tree", fabric_mcast_latency(group, src));
 
   std::printf("\nbroadcast to all 64 hosts\n");
-  std::printf("scheme,completion_latency\n");
+  print_line(nullptr);
   MulticastGroupSpec everyone = make_full_group(64);
   for (const Scheme s : {Scheme::kRepeatedUnicast, Scheme::kTreeSF,
-                         Scheme::kTreeBroadcast}) {
-    std::printf("%s,%.0f\n", scheme_name(s),
-                host_scheme_latency(s, everyone, src));
-  }
-  std::printf("switch-fabric-flood,%.0f\n", fabric_broadcast_latency(src));
+                         Scheme::kTreeBroadcast})
+    print_line(scheme_name(s), host_scheme_latency(s, everyone, src));
+  print_line("switch-fabric-flood", fabric_broadcast_latency(src));
   return 0;
 }

@@ -16,12 +16,10 @@ using namespace wormcast;
 
 namespace {
 
-struct Point {
-  double throughput = 0.0;  // delivered payload B/bt/host
-  double latency = 0.0;
-};
+enum Metric { kThroughput, kLatency };
 
-Point run_case(bool tree_only, double load, Time warmup, Time measure) {
+bench::Sample run_case(bool tree_only, double load, Time warmup,
+                       Time measure) {
   ExperimentConfig cfg;
   cfg.protocol.scheme = Scheme::kHamiltonianSF;
   cfg.traffic.offered_load = load;
@@ -30,28 +28,36 @@ Point run_case(bool tree_only, double load, Time warmup, Time measure) {
   Network net(make_torus(8, 8), {}, cfg);
   net.run(warmup, measure, /*drain_cap=*/0);
   const auto s = net.summary();
-  return Point{s.throughput_per_host, s.unicast_latency_mean};
+  return {s.throughput_per_host, s.unicast_latency_mean};
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  const bool quick = argc > 1 && std::string(argv[1]) == "--quick";
-  const Time warmup = quick ? 10'000 : 30'000;
-  const Time measure = quick ? 50'000 : 150'000;
+  const bench::BenchArgs args =
+      bench::parse_bench_args(argc, argv, bench::kQuick | bench::kJobs);
+  const Time warmup = args.quick ? 10'000 : 30'000;
+  const Time measure = args.quick ? 50'000 : 150'000;
   std::printf("# Ablation B: full up/down routing vs spanning-tree-only "
               "(scheme (a)'s restriction), unicast on 8x8 torus\n");
-  bench::print_header("offered_load", {"updown_thr", "updown_lat",
-                                       "tree_only_thr", "tree_only_lat"});
   const std::vector<double> loads =
-      quick ? std::vector<double>{0.05, 0.15}
-            : std::vector<double>{0.02, 0.05, 0.08, 0.11, 0.14, 0.17, 0.20};
-  for (const double load : loads) {
-    const Point full = run_case(false, load, warmup, measure);
-    const Point tree = run_case(true, load, warmup, measure);
-    std::printf("%.2f,%.4f,%.0f,%.4f,%.0f\n", load, full.throughput,
-                full.latency, tree.throughput, tree.latency);
-    std::fflush(stdout);
-  }
-  return 0;
+      args.quick ? std::vector<double>{0.05, 0.15}
+                 : std::vector<double>{0.02, 0.05, 0.08, 0.11, 0.14, 0.17, 0.20};
+  const char* const names[] = {"updown", "tree_only"};
+
+  bench::Sweep sweep{.xs = loads.size(), .series = 2};
+  sweep.point = [&](const bench::Point& p) {
+    return run_case(p.series == 1, loads[p.x], warmup, measure);
+  };
+  const auto table = [&](std::size_t x, const bench::Results& r) {
+    bench::Cells row{bench::col("offered_load", "%.2f", loads[x])};
+    for (std::size_t s = 0; s < 2; ++s) {
+      const std::string n = names[s];
+      row.push_back(bench::col(n + "_thr", "%.4f", r.mean(x, s, kThroughput)));
+      row.push_back(bench::col(n + "_lat", "%.0f", r.mean(x, s, kLatency)));
+    }
+    return row;
+  };
+  sweep.views = {{"", "", table}};
+  return bench::run_sweep(args, sweep);
 }

@@ -37,31 +37,28 @@ struct Combo {
   const char* name;
 };
 
-constexpr Combo kCombos[] = {
-    {2, false, "g2_flaps"},
-    {2, true, "g2_storm"},
-    {4, false, "g4_flaps"},
-    {4, true, "g4_storm"},
-};
+constexpr Combo kCombos[] = {{2, false, "g2_flaps"},
+                              {2, true, "g2_storm"},
+                              {4, false, "g4_flaps"},
+                              {4, true, "g4_storm"}};
 constexpr std::size_t kNumCombos = std::size(kCombos);
 
-struct Point {
-  double shed_rate = 0.0;   // shed events per join intent
-  double join_mean = -1.0;  // request -> applied (byte-times)
-  double join_p95 = -1.0;
-  bool joins_measured = false;
-  double queue_peak = 0.0;
-  double delivered = 0.0;  // completed / created
-  double lost = 0.0;       // outstanding after drain: MUST be zero
-  double rejoins = 0.0;
-  double leaves = 0.0;
-  double flap_windows = 0.0;
+enum Metric {
+  kShedRate,     // shed events per join intent
+  kJoinMean,     // request -> applied (byte-times); unsampled without joins
+  kJoinP95,
+  kQueuePeak,
+  kDelivered,    // completed / created
+  kLost,         // outstanding after drain: MUST be zero
+  kRejoins,
+  kLeaves,
+  kFlapWindows,
 };
 
-Point run_point(const Combo& combo, Time gap, Time measure, std::uint64_t seed,
-                TreeStrategyKind strategy, std::size_t trace_cap,
-                bench::CheckCollector& checks, std::size_t slot,
-                std::string label) {
+bench::Sample run_point(const Combo& combo, Time gap, Time measure,
+                        TreeStrategyKind strategy, const bench::Point& pt,
+                        const std::string& label) {
+  const std::uint64_t seed = pt.seed;
   // Circuit scheme at a load both the splice-in and the hop-window patch
   // paths see steady traffic; recovery + suspicion on so the chaos is
   // survivable and leave-no-suspect is checked against a live detector.
@@ -94,7 +91,7 @@ Point run_point(const Combo& combo, Time gap, Time measure, std::uint64_t seed,
     groups.push_back(std::move(spec));
   }
   Network net(make_myrinet_testbed(), groups, cfg);
-  if (checks.enabled()) net.enable_tracing(trace_cap);
+  if (pt.checks->enabled()) net.enable_tracing(pt.trace_cap);
   bench::arm_watchdog(net);
 
   // Chaos: flap windows stay well under the suspicion timeout, so a live
@@ -123,7 +120,7 @@ Point run_point(const Combo& combo, Time gap, Time measure, std::uint64_t seed,
   engine.start();
 
   net.run(kWarmup, measure, /*drain_cap=*/600'000);
-  checks.collect(slot, net, std::move(label));
+  pt.checks->collect(pt.slot, net, label);
 
   const Network::Summary s = net.summary();
   if (s.outstanding > 0) {
@@ -138,65 +135,29 @@ Point run_point(const Combo& combo, Time gap, Time measure, std::uint64_t seed,
                    static_cast<long long>(ctx->created_at),
                    ctx->destinations_reached, ctx->destinations_total);
   }
-  Point p;
-  if (s.joins_requested > 0)
-    p.shed_rate = static_cast<double>(s.joins_shed) /
-                  static_cast<double>(s.joins_requested);
-  p.joins_measured = s.join_samples > 0;
-  if (p.joins_measured) {
-    p.join_mean = s.join_latency_mean;
-    p.join_p95 = s.join_latency_p95;
+  bench::Sample out{bench::ratio(s.joins_shed, s.joins_requested),
+                    std::nullopt,
+                    std::nullopt,
+                    s.membership_queue_peak,
+                    bench::ratio(s.messages_completed, s.messages),
+                    s.outstanding,
+                    s.rejoins,
+                    s.leaves,
+                    s.flap_windows};
+  if (s.join_samples > 0) {
+    out[kJoinMean] = s.join_latency_mean;
+    out[kJoinP95] = s.join_latency_p95;
   }
-  p.queue_peak = static_cast<double>(s.membership_queue_peak);
-  if (s.messages > 0)
-    p.delivered = static_cast<double>(s.messages_completed) /
-                  static_cast<double>(s.messages);
-  p.lost = static_cast<double>(s.outstanding);
-  p.rejoins = static_cast<double>(s.rejoins);
-  p.leaves = static_cast<double>(s.leaves);
-  p.flap_windows = static_cast<double>(s.flap_windows);
-  return p;
-}
-
-struct Merged {
-  RunningStat shed_rate;
-  RunningStat join_mean;  // over reps that applied at least one join
-  RunningStat join_p95;
-  RunningStat queue_peak;
-  RunningStat delivered;
-  RunningStat lost;
-  RunningStat rejoins;
-  RunningStat leaves;
-  RunningStat flap_windows;
-};
-
-Merged merge_reps(const std::vector<Point>& reps) {
-  Merged m;
-  for (const Point& p : reps) {
-    const auto one = [](double v) {
-      RunningStat s;
-      s.add(v);
-      return s;
-    };
-    m.shed_rate.merge(one(p.shed_rate));
-    m.queue_peak.merge(one(p.queue_peak));
-    m.delivered.merge(one(p.delivered));
-    m.lost.merge(one(p.lost));
-    m.rejoins.merge(one(p.rejoins));
-    m.leaves.merge(one(p.leaves));
-    m.flap_windows.merge(one(p.flap_windows));
-    if (p.joins_measured) {
-      m.join_mean.merge(one(p.join_mean));
-      m.join_p95.merge(one(p.join_p95));
-    }
-  }
-  return m;
+  return out;
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  const bench::BenchArgs args = bench::parse_bench_args(argc, argv);
+  const bench::BenchArgs args = bench::parse_bench_args(
+      argc, argv,
+      bench::kQuick | bench::kJobs | bench::kReps | bench::kTraceCap |
+          bench::kCheck | bench::kStrategy);
   const Time measure = args.quick ? 300'000 : 800'000;
 
   std::printf("# Membership churn under chaos schedules on the 8-host "
@@ -205,79 +166,58 @@ int main(int argc, char** argv) {
   std::printf("# (coordinator queue=4 slots @ 20k/op; suspicion=60k; flaps "
               "6k down / 25k up; %d rep(s)/point; lost must be 0)\n",
               args.reps);
-  std::vector<std::string> cols;
-  for (const Combo& c : kCombos) {
-    cols.push_back(std::string(c.name) + "_shed_rate");
-    cols.push_back(std::string(c.name) + "_join_p95");
-    cols.push_back(std::string(c.name) + "_lost");
-  }
-  bench::print_header("churn_gap", cols);
   const std::vector<Time> gaps = args.quick
                                      ? std::vector<Time>{15'000}
                                      : std::vector<Time>{30'000, 15'000, 7'500};
 
-  const std::size_t reps = static_cast<std::size_t>(args.reps);
-  const std::size_t n_tasks = gaps.size() * kNumCombos * reps;
-  std::vector<Point> raw(n_tasks);
-  bench::JsonBench json("churn_storm");
-  json.resize_rows(gaps.size());
-  bench::CheckCollector checks(args.check);
-  checks.resize(n_tasks);
-  const harness::WallTimer sweep;
-  harness::SweepRunner pool(args.jobs);
-  const auto walls = pool.run_indexed(n_tasks, [&](std::size_t i) {
-    const std::size_t point = i / reps;
-    const std::size_t rep = i % reps;
-    const Time gap = gaps[point / kNumCombos];
-    const Combo& combo = kCombos[point % kNumCombos];
-    char label[96];
-    std::snprintf(label, sizeof label, "gap=%lld combo=%s rep=%zu",
-                  static_cast<long long>(gap), combo.name, rep);
-    raw[i] = run_point(combo, gap, measure,
-                       harness::point_seed(kBaseSeed, rep), args.strategy,
-                       args.trace_cap, checks, i, label);
-  });
-
+  bench::Sweep sweep{.xs = gaps.size(), .series = kNumCombos,
+                     .reps = std::size_t(args.reps), .base_seed = kBaseSeed};
+  sweep.point = [&](const bench::Point& p) {
+    const Combo& combo = kCombos[p.series];
+    return run_point(combo, gaps[p.x], measure, args.strategy, p,
+                     bench::format("gap=%lld combo=%s rep=%zu",
+                                   static_cast<long long>(gaps[p.x]),
+                                   combo.name, p.rep));
+  };
   bool lost_any = false;
-  for (std::size_t r = 0; r < gaps.size(); ++r) {
-    std::printf("%lld", static_cast<long long>(gaps[r]));
-    bench::JsonBench::Row cells{{"churn_gap", static_cast<double>(gaps[r])}};
+  const auto table = [&](std::size_t x, const bench::Results& r) {
+    bench::Cells row{bench::col("churn_gap", "%lld", gaps[x])};
     for (std::size_t c = 0; c < kNumCombos; ++c) {
-      const std::size_t point = r * kNumCombos + c;
-      const std::vector<Point> rep_points(
-          raw.begin() + static_cast<std::ptrdiff_t>(point * reps),
-          raw.begin() + static_cast<std::ptrdiff_t>((point + 1) * reps));
-      const Merged m = merge_reps(rep_points);
-      if (m.lost.mean() > 0.0) lost_any = true;
-      std::printf(",%.4f,%.0f,%.0f", m.shed_rate.mean(),
-                  m.join_p95.count() > 0 ? m.join_p95.mean() : -1.0,
-                  m.lost.mean());
       const std::string n = kCombos[c].name;
-      cells.push_back({n + "_shed_rate", m.shed_rate.mean()});
-      cells.push_back({n + "_join_latency_mean",
-                       bench::opt(m.join_mean.mean(), m.join_mean.count() > 0)});
-      cells.push_back({n + "_join_latency_p95",
-                       bench::opt(m.join_p95.mean(), m.join_p95.count() > 0)});
-      cells.push_back({n + "_queue_peak", m.queue_peak.mean()});
-      cells.push_back({n + "_delivered", m.delivered.mean()});
-      cells.push_back({n + "_lost", m.lost.mean()});
-      cells.push_back({n + "_rejoins", m.rejoins.mean()});
-      cells.push_back({n + "_leaves", m.leaves.mean()});
-      cells.push_back({n + "_flap_windows", m.flap_windows.mean()});
+      const RunningStat& join_mean = r.stat(x, c, kJoinMean);
+      const RunningStat& join_p95 = r.stat(x, c, kJoinP95);
+      const double lost = r.mean(x, c, kLost);
+      if (lost > 0.0) lost_any = true;
+      row.push_back(
+          bench::col(n + "_shed_rate", "%.4f", r.mean(x, c, kShedRate)));
+      row.push_back({n + "_join_p95", "%.0f",
+                     join_p95.count() > 0 ? join_p95.mean() : -1.0, true,
+                     bench::kCsv, {}});
+      row.push_back(bench::json_col(n + "_join_latency_mean", join_mean.mean(),
+                                    join_mean.count() > 0));
+      row.push_back(bench::json_col(n + "_join_latency_p95", join_p95.mean(),
+                                    join_p95.count() > 0));
+      row.push_back(
+          bench::json_col(n + "_queue_peak", r.mean(x, c, kQueuePeak)));
+      row.push_back(
+          bench::json_col(n + "_delivered", r.mean(x, c, kDelivered)));
+      row.push_back(bench::col(n + "_lost", "%.0f", lost));
+      row.push_back(bench::json_col(n + "_rejoins", r.mean(x, c, kRejoins)));
+      row.push_back(bench::json_col(n + "_leaves", r.mean(x, c, kLeaves)));
+      row.push_back(
+          bench::json_col(n + "_flap_windows", r.mean(x, c, kFlapWindows)));
     }
-    std::printf("\n");
-    json.set_row(r, cells);
-  }
-  std::fflush(stdout);
-  bench::stamp_sweep_meta(json, pool, walls, sweep);
-  json.set_meta("reps", static_cast<double>(args.reps));
-  json.set_meta("strategy", static_cast<double>(args.strategy));
-  if (lost_any)
+    return row;
+  };
+  sweep.views = {{"churn_storm", "", table}};
+  sweep.finish = [&](bench::JsonBench& json, const bench::Results&) {
+    json.set_meta("strategy", static_cast<double>(args.strategy));
+    if (!lost_any) return 0;
     std::fprintf(stderr,
                  "churn_storm: FAIL -- lost-forever payloads detected "
                  "(outstanding after drain); every send must complete or be "
                  "explicitly shed\n");
-  const int check_rc = checks.finalize(&json);
-  json.write();
-  return lost_any ? 1 : check_rc;
+    return 1;
+  };
+  return bench::run_sweep(args, sweep);
 }

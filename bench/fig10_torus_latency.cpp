@@ -15,9 +15,9 @@
 // (converging to S&F); latencies blow up approaching saturation
 // (~0.11-0.12 utilization).
 //
-// The sweep runs (load, scheme) points on a SweepRunner pool (--jobs N);
-// each point is an independent Network, and the CSV/JSON rows are
-// bit-identical at any job count.
+// Each (load, scheme) point is an independent Network on a SweepRunner
+// pool (--jobs N), and the CSV/JSON rows are bit-identical at any job
+// count.
 #include <cstdio>
 #include <vector>
 
@@ -30,26 +30,24 @@ using namespace wormcast;
 
 namespace {
 
-struct Point {
-  double utilization = 0.0;
-  double latency = 0.0;
-};
+enum Metric { kUtilization, kLatency };
 
-Point run_point(Scheme scheme, double gen_load, std::uint64_t seed, Time warmup,
-                Time measure) {
+bench::Sample run_point(Scheme scheme, double gen_load, std::uint64_t seed,
+                        Time warmup, Time measure) {
   RandomStream group_rng(900 + seed);  // same groups for all schemes/loads
   auto groups = make_random_groups(10, 10, 64, group_rng);
   ExperimentConfig cfg = bench::sim_defaults(scheme, gen_load, 0.10, seed);
   Network net(make_torus(8, 8), std::move(groups), cfg);
   net.run(warmup, measure, /*drain_cap=*/100'000);
   const auto s = net.summary();
-  return Point{s.measured_utilization, s.mcast_latency_mean};
+  return {s.measured_utilization, s.mcast_latency_mean};
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  const bench::BenchArgs args = bench::parse_bench_args(argc, argv);
+  const bench::BenchArgs args =
+      bench::parse_bench_args(argc, argv, bench::kQuick | bench::kJobs);
   const Time warmup = args.quick ? 20'000 : 50'000;
   const Time measure = args.quick ? 60'000 : 200'000;
 
@@ -59,9 +57,6 @@ int main(int argc, char** argv) {
               "400 B\n");
   std::printf("# columns: per-scheme (measured output-link utilization, "
               "latency)\n");
-  bench::print_header("gen_load",
-                      {"util_hc_sf", "lat_hc_sf", "util_hc_ct", "lat_hc_ct",
-                       "util_tree", "lat_tree"});
   const std::vector<double> loads =
       args.quick ? std::vector<double>{0.025, 0.045, 0.06}
                  : std::vector<double>{0.022, 0.028, 0.034, 0.040, 0.046,
@@ -69,37 +64,24 @@ int main(int argc, char** argv) {
   // The paper's "rooted tree" curve is the broadcast-on-tree variant
   // (Section 6's lower-latency alternative; store-and-forward at each
   // member, two buffer classes, no total ordering).
-  const std::vector<Scheme> schemes = {
-      Scheme::kHamiltonianSF, Scheme::kHamiltonianCT, Scheme::kTreeBroadcast};
+  const Scheme schemes[] = {Scheme::kHamiltonianSF, Scheme::kHamiltonianCT,
+                            Scheme::kTreeBroadcast};
+  const char* const names[] = {"hc_sf", "hc_ct", "tree"};
 
-  const std::size_t n_points = loads.size() * schemes.size();
-  bench::JsonBench json("fig10_torus_latency");
-  json.resize_rows(loads.size());
-  const harness::WallTimer sweep;
-  harness::SweepRunner pool(args.jobs);
-  std::vector<Point> results(n_points);
-  const auto walls = pool.run_indexed(n_points, [&](std::size_t i) {
-    results[i] = run_point(schemes[i % schemes.size()],
-                           loads[i / schemes.size()], 1, warmup, measure);
-  });
-
-  for (std::size_t l = 0; l < loads.size(); ++l) {
-    const Point& sf = results[l * schemes.size()];
-    const Point& ct = results[l * schemes.size() + 1];
-    const Point& tr = results[l * schemes.size() + 2];
-    std::printf("%.3f,%.3f,%.0f,%.3f,%.0f,%.3f,%.0f\n", loads[l],
-                sf.utilization, sf.latency, ct.utilization, ct.latency,
-                tr.utilization, tr.latency);
-    json.set_row(l, {{"gen_load", loads[l]},
-                     {"util_hc_sf", sf.utilization},
-                     {"lat_hc_sf", sf.latency},
-                     {"util_hc_ct", ct.utilization},
-                     {"lat_hc_ct", ct.latency},
-                     {"util_tree", tr.utilization},
-                     {"lat_tree", tr.latency}});
-  }
-  std::fflush(stdout);
-  bench::stamp_sweep_meta(json, pool, walls, sweep);
-  json.write();
-  return 0;
+  bench::Sweep sweep{.xs = loads.size(), .series = std::size(schemes)};
+  sweep.point = [&](const bench::Point& p) {
+    return run_point(schemes[p.series], loads[p.x], 1, warmup, measure);
+  };
+  const auto table = [&](std::size_t x, const bench::Results& r) {
+    bench::Cells row{bench::col("gen_load", "%.3f", loads[x])};
+    for (std::size_t s = 0; s < std::size(names); ++s) {
+      const std::string name = names[s];
+      row.push_back(
+          bench::col("util_" + name, "%.3f", r.mean(x, s, kUtilization)));
+      row.push_back(bench::col("lat_" + name, "%.0f", r.mean(x, s, kLatency)));
+    }
+    return row;
+  };
+  sweep.views = {{"fig10_torus_latency", "", table}};
+  return bench::run_sweep(args, sweep);
 }

@@ -12,9 +12,9 @@
 // multicast is re-transmitted several times, so the actual throughput
 // rises with the proportion); both schemes carry the same total traffic.
 //
-// The sweep runs (load, proportion, scheme) points on a SweepRunner pool
-// (--jobs N); each point is an independent Network, and the CSV/JSON rows
-// are bit-identical at any job count.
+// Each (load, proportion, scheme) point is an independent Network on a
+// SweepRunner pool (--jobs N), and the CSV/JSON rows are bit-identical at
+// any job count.
 #include <cstdio>
 #include <vector>
 
@@ -45,7 +45,8 @@ double run_point(Scheme scheme, double load, double proportion,
 }  // namespace
 
 int main(int argc, char** argv) {
-  const bench::BenchArgs args = bench::parse_bench_args(argc, argv);
+  const bench::BenchArgs args =
+      bench::parse_bench_args(argc, argv, bench::kQuick | bench::kJobs);
   const Time warmup = args.quick ? 30'000 : 80'000;
   const Time measure = args.quick ? 80'000 : 300'000;
 
@@ -53,51 +54,28 @@ int main(int argc, char** argv) {
               "load, 24-node bidirectional shufflenet\n");
   std::printf("# 4 groups x 6 members, propagation delay 1000 byte-times, "
               "mean worm 400 B\n");
-  bench::print_header("offered_load",
-                      {"prop0.05_tree", "prop0.05_hc", "prop0.10_tree",
-                       "prop0.10_hc", "prop0.15_tree", "prop0.15_hc",
-                       "prop0.20_tree", "prop0.20_hc"});
   const std::vector<double> loads =
       args.quick ? std::vector<double>{0.03, 0.05, 0.065}
                  : std::vector<double>{0.030, 0.035, 0.040, 0.045, 0.050,
                                        0.055, 0.060, 0.065, 0.070};
   const std::vector<double> props{0.05, 0.10, 0.15, 0.20};
 
-  // Point index = ((load, proportion), scheme); even = tree, odd = HC.
-  const std::size_t per_load = props.size() * 2;
-  const std::size_t n_points = loads.size() * per_load;
-  bench::JsonBench json("fig11_shufflenet_delay");
-  json.resize_rows(loads.size());
-  const harness::WallTimer sweep;
-  harness::SweepRunner pool(args.jobs);
-  std::vector<double> results(n_points);
-  const auto walls = pool.run_indexed(n_points, [&](std::size_t i) {
-    const double load = loads[i / per_load];
-    const double prop = props[(i % per_load) / 2];
-    const Scheme scheme =
-        (i % 2) == 0 ? Scheme::kTreeBroadcast : Scheme::kHamiltonianSF;
-    results[i] = run_point(scheme, load, prop, 1, warmup, measure);
-  });
-
-  for (std::size_t l = 0; l < loads.size(); ++l) {
-    std::printf("%.3f", loads[l]);
-    std::vector<std::pair<std::string, std::optional<double>>> row;
-    row.emplace_back("offered_load", loads[l]);
-    for (std::size_t p = 0; p < props.size(); ++p) {
-      const double tree = results[l * per_load + p * 2];
-      const double hc = results[l * per_load + p * 2 + 1];
-      std::printf(",%.0f,%.0f", tree, hc);
-      char key[32];
-      std::snprintf(key, sizeof key, "prop%.2f_tree", props[p]);
-      row.emplace_back(key, tree);
-      std::snprintf(key, sizeof key, "prop%.2f_hc", props[p]);
-      row.emplace_back(key, hc);
-    }
-    std::printf("\n");
-    json.set_row(l, std::move(row));
-  }
-  std::fflush(stdout);
-  bench::stamp_sweep_meta(json, pool, walls, sweep);
-  json.write();
-  return 0;
+  // Series = (proportion, scheme); even = tree, odd = Hamiltonian circuit.
+  bench::Sweep sweep{.xs = loads.size(), .series = props.size() * 2};
+  sweep.point = [&](const bench::Point& p) {
+    const Scheme scheme = p.series % 2 == 0 ? Scheme::kTreeBroadcast
+                                            : Scheme::kHamiltonianSF;
+    return bench::Sample{run_point(scheme, loads[p.x], props[p.series / 2], 1,
+                                   warmup, measure)};
+  };
+  const auto table = [&](std::size_t x, const bench::Results& r) {
+    bench::Cells row{bench::col("offered_load", "%.3f", loads[x])};
+    for (std::size_t s = 0; s < sweep.series; ++s)
+      row.push_back(bench::col(bench::format("prop%.2f_%s", props[s / 2],
+                                             s % 2 == 0 ? "tree" : "hc"),
+                               "%.0f", r.mean(x, s, 0)));
+    return row;
+  };
+  sweep.views = {{"fig11_shufflenet_delay", "", table}};
+  return bench::run_sweep(args, sweep);
 }

@@ -35,8 +35,16 @@
 
 using namespace wormcast;
 
+namespace {
+
+enum Metric { kThroughput, kLoss, kSimBytes, kSimWallMs };
+
+}  // namespace
+
 int main(int argc, char** argv) {
-  const bench::BenchArgs args = bench::parse_bench_args(argc, argv);
+  const bench::BenchArgs args = bench::parse_bench_args(
+      argc, argv,
+      bench::kQuick | bench::kJobs | bench::kTraceCap | bench::kCheck);
   const Time span = args.quick ? 1'000'000 : 6'000'000;
   const Time link_delay = 40;  // byte-times; ~100 m of cable
   const std::int64_t packet = 2048;
@@ -55,6 +63,7 @@ int main(int argc, char** argv) {
   const std::vector<Fabric> fabrics = {{"torus32", &torus, nullptr},
                                        {"clos16x32", &clos, &clos_levels}};
   const std::vector<int> shard_counts = {1, 2, 4};
+  const std::size_t n_shards = shard_counts.size();
 
   std::printf("# Large fabrics: 1024 hosts (%s), %lld-byte packets to "
               "%d-host groups every %lld byte-times, %lld byte-times, "
@@ -62,21 +71,13 @@ int main(int argc, char** argv) {
               "32x32 torus; 16x32x32 Clos", static_cast<long long>(packet),
               group_size, static_cast<long long>(period),
               static_cast<long long>(span), static_cast<long long>(link_delay));
-  bench::print_header(
-      "fabric", {"shards", "hosts", "switches", "throughput_mbps", "loss_rate",
-                 "sim_bytes", "windows_ok"});
 
-  const std::size_t n_points = fabrics.size() * shard_counts.size();
-  bench::JsonBench json("large_fabric");
-  json.resize_rows(n_points);
-  bench::CheckCollector checks(args.check);
-  checks.resize(n_points);
-  const harness::WallTimer sweep;
-  harness::SweepRunner pool(args.jobs);
-  std::vector<bench::TestbedResult> results(n_points);
-  const auto walls = pool.run_indexed(n_points, [&](std::size_t i) {
-    const Fabric& f = fabrics[i / shard_counts.size()];
-    const int shards = shard_counts[i % shard_counts.size()];
+  // Each (fabric, shards) point is its own row.
+  std::vector<std::pair<std::string, double>> counters;  // point 0's dump
+  bench::Sweep sweep{.xs = fabrics.size() * n_shards};
+  sweep.point = [&](const bench::Point& p) {
+    const Fabric& f = fabrics[p.x / n_shards];
+    const int shards = shard_counts[p.x % n_shards];
     bench::TestbedOptions opts;
     opts.topology = f.topo;
     opts.topology_levels = f.levels;
@@ -86,67 +87,58 @@ int main(int argc, char** argv) {
     opts.group_size = group_size;
     opts.inject_period = period;
     opts.shards = shards;
-    opts.trace_cap = args.trace_cap;
-    opts.checks = &checks;
-    opts.check_slot = i;
-    opts.check_label =
-        std::string(f.name) + " shards=" + std::to_string(shards);
-    results[i] = bench::run_testbed(opts);
-  });
-
-  for (std::size_t i = 0; i < n_points; ++i) {
-    const Fabric& f = fabrics[i / shard_counts.size()];
-    const int shards = shard_counts[i % shard_counts.size()];
-    const bench::TestbedResult& r = results[i];
+    opts.trace_cap = p.trace_cap;
+    opts.point = &p;
+    opts.check_label = bench::format("%s shards=%d", f.name, shards);
+    bench::TestbedResult r = bench::run_testbed(opts);
+    if (p.slot == 0) counters = std::move(r.counters);
+    return bench::Sample{r.throughput_mbps, r.loss_rate, r.bytes_on_wire,
+                         r.sim_wall_ms};
+  };
+  bool all_ok = true;
+  const auto table = [&](std::size_t x, const bench::Results& r) {
+    const std::size_t fi = x / n_shards;
+    const Fabric& f = fabrics[fi];
     // Physics must not move along the shards axis; restate the contract
-    // in-band so a drifting run is visible even without the CI gate.
-    const bench::TestbedResult& base = results[(i / shard_counts.size()) *
-                                              shard_counts.size()];
-    const bool ok = r.throughput_mbps == base.throughput_mbps &&
-                    r.loss_rate == base.loss_rate &&
-                    r.bytes_on_wire == base.bytes_on_wire;
-    std::printf("%s,%d,%d,%d,%.2f,%.4f,%lld,%d\n", f.name, shards,
-                f.topo->num_hosts(), f.topo->num_switches(),
-                r.throughput_mbps, r.loss_rate,
-                static_cast<long long>(r.bytes_on_wire), ok ? 1 : 0);
-    json.set_row(i, {{"fabric", static_cast<double>(i / shard_counts.size())},
-                     {"shards", static_cast<double>(shards)},
-                     {"hosts", static_cast<double>(f.topo->num_hosts())},
-                     {"switches", static_cast<double>(f.topo->num_switches())},
-                     {"throughput_mbps", r.throughput_mbps},
-                     {"loss_rate", r.loss_rate},
-                     {"sim_bytes", static_cast<double>(r.bytes_on_wire)},
-                     {"windows_ok", ok ? 1.0 : 0.0}});
-  }
+    // in-band so a drifting run is visible even without the CI gate, and
+    // fail the run on it.
+    const auto v = [&](std::size_t row, Metric m) { return r.mean(row, 0, m); };
+    const std::size_t base = fi * n_shards;
+    const bool ok = v(x, kThroughput) == v(base, kThroughput) &&
+                    v(x, kLoss) == v(base, kLoss) &&
+                    v(x, kSimBytes) == v(base, kSimBytes);
+    all_ok &= ok;
+    return bench::Cells{
+        bench::Cell{"fabric", "%s", double(fi), true, bench::kBoth, f.name},
+        bench::col("shards", "%lld", shard_counts[x % n_shards]),
+        bench::col("hosts", "%lld", f.topo->num_hosts()),
+        bench::col("switches", "%lld", f.topo->num_switches()),
+        bench::col("throughput_mbps", "%.2f", v(x, kThroughput)),
+        bench::col("loss_rate", "%.4f", v(x, kLoss)),
+        bench::col("sim_bytes", "%lld", v(x, kSimBytes)),
+        bench::col("windows_ok", "%lld", ok ? 1.0 : 0.0)};
+  };
+  sweep.views = {{"large_fabric", "", table}};
   // Wall-clock lives in meta only (rows are diffed across runs and shard
   // counts): the sharded speedup at each fabric, from the event-loop wall.
-  bool all_ok = true;
-  for (std::size_t fi = 0; fi < fabrics.size(); ++fi) {
-    const double base = results[fi * shard_counts.size()].sim_wall_ms;
-    for (std::size_t si = 1; si < shard_counts.size(); ++si) {
-      const bench::TestbedResult& r = results[fi * shard_counts.size() + si];
-      const double speedup = r.sim_wall_ms > 0 ? base / r.sim_wall_ms : 0.0;
-      json.set_meta("shards" + std::to_string(shard_counts[si]) +
-                        "_speedup_wall_" + fabrics[fi].name,
-                    speedup);
-      std::printf("# %s: --shards %d speedup %.2fx (%.0f ms -> %.0f ms)\n",
-                  fabrics[fi].name, shard_counts[si], speedup, base,
-                  r.sim_wall_ms);
+  sweep.finish = [&](bench::JsonBench& json, const bench::Results& r) {
+    for (std::size_t fi = 0; fi < fabrics.size(); ++fi) {
+      const double base = r.mean(fi * n_shards, 0, kSimWallMs);
+      for (std::size_t si = 1; si < n_shards; ++si) {
+        const double wall = r.mean(fi * n_shards + si, 0, kSimWallMs);
+        const double speedup = bench::ratio(base, wall);
+        json.set_meta("shards" + std::to_string(shard_counts[si]) +
+                          "_speedup_wall_" + fabrics[fi].name,
+                      speedup);
+        std::printf("# %s: --shards %d speedup %.2fx (%.0f ms -> %.0f ms)\n",
+                    fabrics[fi].name, shard_counts[si], speedup, base, wall);
+      }
     }
-  }
-  for (std::size_t i = 0; i < n_points; ++i) {
-    const std::size_t base_i = (i / shard_counts.size()) * shard_counts.size();
-    if (results[i].throughput_mbps != results[base_i].throughput_mbps ||
-        results[i].bytes_on_wire != results[base_i].bytes_on_wire)
-      all_ok = false;
-  }
-  if (!all_ok)
+    json.set_counters(counters);
+    if (all_ok) return 0;
     std::printf("# WARNING: shard counts disagree on results — sharded "
                 "engine bug!\n");
-  std::fflush(stdout);
-  json.set_counters(results[0].counters);
-  bench::stamp_sweep_meta(json, pool, walls, sweep);
-  const int check_rc = checks.finalize(&json);
-  json.write();
-  return all_ok ? check_rc : 1;
+    return 1;
+  };
+  return bench::run_sweep(args, sweep);
 }

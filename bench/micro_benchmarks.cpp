@@ -77,15 +77,28 @@ void queue_cancel_heavy(EventQueueKind kind) {
   while (!q.empty()) q.pop().action();
 }
 
+/// Calls fn(src, dst) for 256 distinct-host pairs of an 8x8 torus.
+template <typename F>
+void for_host_pairs(F&& fn) {
+  HostId src = 0, dst = 1;
+  for (int i = 0; i < 256; ++i) {
+    fn(src, dst);
+    dst = static_cast<HostId>((dst + 7) % 64);
+    if (dst == src) dst = static_cast<HostId>((dst + 1) % 64);
+    src = static_cast<HostId>((src + 13) % 64);
+    if (dst == src) src = static_cast<HostId>((src + 1) % 64);
+  }
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
-  const bench::BenchArgs args = bench::parse_bench_args(argc, argv);
+  const bench::BenchArgs args =
+      bench::parse_bench_args(argc, argv, bench::kQuick);
   const double min_ms = args.quick ? 20.0 : 200.0;
 
   std::printf("# Engine microbenchmarks (self-timed, window >= %.0f ms "
               "per benchmark)\n", min_ms);
-  bench::print_header("benchmark", {"ns_per_op", "items_per_sec"});
   bench::JsonBench json("micro_benchmarks");
 
   struct Case {
@@ -113,14 +126,9 @@ int main(int argc, char** argv) {
        [] { queue_cancel_heavy(EventQueueKind::kHeap); }, 1024},
       {"updown_route_fresh",
        [&routing] {
-         HostId src = 0, dst = 1;
-         for (int i = 0; i < 256; ++i) {
+         for_host_pairs([&](HostId src, HostId dst) {
            do_not_optimize(routing.route(src, dst));
-           dst = static_cast<HostId>((dst + 7) % 64);
-           if (dst == src) dst = static_cast<HostId>((dst + 1) % 64);
-           src = static_cast<HostId>((src + 13) % 64);
-           if (dst == src) src = static_cast<HostId>((src + 1) % 64);
-         }
+         });
        },
        256},
       {"updown_route_into_reused",
@@ -128,15 +136,10 @@ int main(int argc, char** argv) {
          // The worm-arena path: route_into() copy-assigns into a recycled
          // SourceRoute, reusing its port-vector capacity.
          SourceRoute out;
-         HostId src = 0, dst = 1;
-         for (int i = 0; i < 256; ++i) {
+         for_host_pairs([&](HostId src, HostId dst) {
            routing.route_into(src, dst, out);
            do_not_optimize(out);
-           dst = static_cast<HostId>((dst + 7) % 64);
-           if (dst == src) dst = static_cast<HostId>((dst + 1) % 64);
-           src = static_cast<HostId>((src + 13) % 64);
-           if (dst == src) src = static_cast<HostId>((src + 1) % 64);
-         }
+         });
        },
        256},
       {"mcast_route_encode_split",
@@ -163,16 +166,13 @@ int main(int argc, char** argv) {
        16 * 1024},
   };
 
-  json.resize_rows(cases.size());
   for (std::size_t i = 0; i < cases.size(); ++i) {
     const Micro m = run_micro(cases[i].body, cases[i].items, min_ms);
-    std::printf("%s,%.1f,%.3g\n", cases[i].name, m.ns_per_op,
-                m.items_per_sec);
+    bench::emit({bench::text_col("benchmark", cases[i].name),
+                 bench::col("ns_per_op", "%.1f", m.ns_per_op),
+                 bench::col("items_per_sec", "%.3g", m.items_per_sec)},
+                i == 0, json, cases[i].name);
     std::fflush(stdout);
-    json.set_row(i,
-                 {{"ns_per_op", m.ns_per_op},
-                  {"items_per_sec", m.items_per_sec}},
-                 cases[i].name);
   }
   json.set_meta("min_ms", min_ms);
   json.write();

@@ -106,8 +106,9 @@ struct TestbedOptions {
   bool tracing = false;
   std::string trace_out;
   std::size_t trace_cap = Tracer::kDefaultCapacity;
-  CheckCollector* checks = nullptr;
-  std::size_t check_slot = 0;
+  /// The sweep task this run is; under --check its trace is checked and
+  /// filed under `check_label`.
+  const Point* point = nullptr;
   std::string check_label;
 };
 
@@ -152,7 +153,7 @@ inline TestbedResult run_testbed(const TestbedOptions& opts) {
                   : (opts.torus > 0 ? make_torus(opts.torus, opts.torus)
                                     : make_myrinet_testbed()),
               groups, cfg);
-  const bool checking = opts.checks != nullptr && opts.checks->enabled();
+  const bool checking = opts.point != nullptr && opts.point->checks->enabled();
   if (opts.tracing || checking || !opts.trace_out.empty())
     net.enable_tracing(opts.trace_cap);
 
@@ -220,7 +221,7 @@ inline TestbedResult run_testbed(const TestbedOptions& opts) {
   net.run_until(span);
   const auto run_t1 = std::chrono::steady_clock::now();
   if (checking)
-    opts.checks->collect(opts.check_slot, net, opts.check_label);
+    opts.point->checks->collect(opts.point->slot, net, opts.check_label);
 
   TestbedResult out;
   out.sim_wall_ms =
@@ -267,33 +268,6 @@ inline TestbedResult run_testbed(const TestbedOptions& opts) {
       std::fprintf(stderr, "# could not write %s\n", opts.trace_out.c_str());
   }
   return out;
-}
-
-/// Positional convenience wrapper (the fig12/fig13 sweeps predate
-/// TestbedOptions).
-inline TestbedResult run_testbed(int senders, std::int64_t packet_size,
-                                 Time span, bool burst_channels = true,
-                                 bool tracing = false,
-                                 const std::string& trace_out = {},
-                                 std::size_t trace_cap =
-                                     Tracer::kDefaultCapacity,
-                                 CheckCollector* checks = nullptr,
-                                 std::size_t check_slot = 0,
-                                 std::string check_label = {},
-                                 int shards = 1) {
-  TestbedOptions opts;
-  opts.senders = senders;
-  opts.packet_size = packet_size;
-  opts.span = span;
-  opts.burst_channels = burst_channels;
-  opts.shards = shards;
-  opts.tracing = tracing;
-  opts.trace_out = trace_out;
-  opts.trace_cap = trace_cap;
-  opts.checks = checks;
-  opts.check_slot = check_slot;
-  opts.check_label = std::move(check_label);
-  return run_testbed(opts);
 }
 
 }  // namespace wormcast::bench

@@ -32,8 +32,9 @@
 // CI runs `--quick` as a smoke test and archives BENCH_sim_hotpath.json;
 // tools/perf_gate.py compares the deterministic columns exactly and the
 // wall-ratio columns within a band (see bench/baselines/README.md).
-#include <chrono>
+#include <algorithm>
 #include <cstdio>
+#include <limits>
 #include <vector>
 
 #include "bench_util.h"
@@ -47,25 +48,20 @@ constexpr int kRepetitions = 3;  // best-of-K after one warm-up
 
 struct Timed {
   bench::TestbedResult result;
-  double wall_ms = 0.0;      // best full-run wall of `reps`
-  double sim_wall_ms = 0.0;  // best event-loop wall of `reps`
+  double wall_ms = std::numeric_limits<double>::infinity();  // best full run
+  double sim_wall_ms = std::numeric_limits<double>::infinity();  // best loop
 };
 
 Timed timed_run(const bench::TestbedOptions& opts, int reps) {
   Timed t;
   // Warm-up: identical run, result and time discarded.
   bench::run_testbed(opts);
-  t.wall_ms = -1.0;
-  t.sim_wall_ms = -1.0;
   for (int k = 0; k < reps; ++k) {
-    const auto t0 = std::chrono::steady_clock::now();
+    const harness::WallTimer timer;
     auto result = bench::run_testbed(opts);
-    const auto t1 = std::chrono::steady_clock::now();
-    const double wall =
-        std::chrono::duration<double, std::milli>(t1 - t0).count();
-    if (t.sim_wall_ms < 0 || result.sim_wall_ms < t.sim_wall_ms)
-      t.sim_wall_ms = result.sim_wall_ms;
-    if (t.wall_ms < 0 || wall < t.wall_ms) {
+    const double wall = timer.elapsed_ms();
+    t.sim_wall_ms = std::min(t.sim_wall_ms, result.sim_wall_ms);
+    if (wall < t.wall_ms) {
       t.wall_ms = wall;
       t.result = std::move(result);
     }
@@ -74,65 +70,53 @@ Timed timed_run(const bench::TestbedOptions& opts, int reps) {
 }
 
 double per_sec(double count, double wall_ms) {
-  return wall_ms > 0 ? count / (wall_ms / 1000.0) : 0.0;
+  return bench::ratio(count, wall_ms / 1000.0);
 }
 
-void report(const char* mode, const Timed& t, bench::JsonBench& json,
-            std::size_t row, bool burst, bool tracing) {
-  const double events_per_s =
-      per_sec(static_cast<double>(t.result.events_dispatched), t.wall_ms);
-  const double bytes_per_s =
-      per_sec(static_cast<double>(t.result.bytes_on_wire), t.wall_ms);
-  std::printf("%s,%.1f,%lld,%.3g,%lld,%.3g,%lld,%.1f\n", mode, t.wall_ms,
-              static_cast<long long>(t.result.events_dispatched), events_per_s,
-              static_cast<long long>(t.result.bytes_on_wire), bytes_per_s,
-              static_cast<long long>(t.result.event_queue_peak),
-              t.result.throughput_mbps);
-  json.set_row(row,
-               {{"burst", burst ? 1.0 : 0.0},
-                {"tracing", tracing ? 1.0 : 0.0},
-                {"wall_ms", t.wall_ms},
-                {"events", static_cast<double>(t.result.events_dispatched)},
-                {"events_per_sec", events_per_s},
-                {"sim_bytes", static_cast<double>(t.result.bytes_on_wire)},
-                {"sim_bytes_per_wall_sec", bytes_per_s},
-                {"event_queue_peak",
-                 static_cast<double>(t.result.event_queue_peak)},
-                {"throughput_mbps", t.result.throughput_mbps}});
+bench::Cells mode_row(const char* mode, const Timed& t, bool burst,
+                      bool tracing) {
+  const bench::TestbedResult& r = t.result;
+  const double events = static_cast<double>(r.events_dispatched);
+  const double bytes = static_cast<double>(r.bytes_on_wire);
+  return {bench::text_col("mode", mode),
+          bench::json_col("burst", burst),
+          bench::json_col("tracing", tracing),
+          bench::col("wall_ms", "%.1f", t.wall_ms),
+          bench::col("events", "%lld", events),
+          bench::col("events_per_sec", "%.3g", per_sec(events, t.wall_ms)),
+          bench::col("sim_bytes", "%lld", bytes),
+          bench::col("sim_bytes_per_wall_sec", "%.3g",
+                     per_sec(bytes, t.wall_ms)),
+          bench::col("event_queue_peak", "%lld", r.event_queue_peak),
+          bench::col("throughput_mbps", "%.1f", r.throughput_mbps)};
 }
 
-void report_engine(const char* mode, const Timed& t, bench::JsonBench& json,
-                   std::size_t row, const bench::TestbedOptions& opts) {
-  const double bytes_per_s =
-      per_sec(static_cast<double>(t.result.bytes_on_wire), t.sim_wall_ms);
-  std::printf("%s,%.1f,%.1f,%lld,%lld,%.3g,%lld,%lld,%lld,%.2f\n", mode,
-              t.sim_wall_ms, t.wall_ms,
-              static_cast<long long>(t.result.events_dispatched),
-              static_cast<long long>(t.result.app_polls), bytes_per_s,
-              static_cast<long long>(t.result.event_queue_peak),
-              static_cast<long long>(t.result.pool_fresh),
-              static_cast<long long>(t.result.pool_reused),
-              t.result.throughput_mbps);
-  json.set_row(row,
-               {{"calendar", opts.queue == EventQueueKind::kCalendar ? 1.0 : 0.0},
-                {"fast_forward", opts.fast_forward ? 1.0 : 0.0},
-                {"sim_wall_ms", t.sim_wall_ms},
-                {"wall_ms", t.wall_ms},
-                {"events", static_cast<double>(t.result.events_dispatched)},
-                {"app_polls", static_cast<double>(t.result.app_polls)},
-                {"sim_bytes", static_cast<double>(t.result.bytes_on_wire)},
-                {"sim_bytes_per_wall_sec", bytes_per_s},
-                {"event_queue_peak",
-                 static_cast<double>(t.result.event_queue_peak)},
-                {"pool_fresh", static_cast<double>(t.result.pool_fresh)},
-                {"pool_reused", static_cast<double>(t.result.pool_reused)},
-                {"throughput_mbps", t.result.throughput_mbps}});
+bench::Cells engine_row(const char* mode, const Timed& t, bool calendar,
+                        bool fast_forward) {
+  const bench::TestbedResult& r = t.result;
+  const double bytes = static_cast<double>(r.bytes_on_wire);
+  return {bench::text_col("engine", mode),
+          bench::json_col("calendar", calendar),
+          bench::json_col("fast_forward", fast_forward),
+          bench::col("sim_wall_ms", "%.1f", t.sim_wall_ms),
+          bench::col("wall_ms", "%.1f", t.wall_ms),
+          bench::col("events", "%lld", r.events_dispatched),
+          bench::col("app_polls", "%lld", r.app_polls),
+          bench::json_col("sim_bytes", bytes),
+          bench::col("sim_bytes_per_wall_sec", "%.3g",
+                     per_sec(bytes, t.sim_wall_ms)),
+          bench::col("event_queue_peak", "%lld", r.event_queue_peak),
+          bench::col("pool_fresh", "%lld", r.pool_fresh),
+          bench::col("pool_reused", "%lld", r.pool_reused),
+          bench::col("throughput_mbps", "%.2f", r.throughput_mbps)};
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  const bench::BenchArgs args = bench::parse_bench_args(argc, argv);
+  const bench::BenchArgs args = bench::parse_bench_args(
+      argc, argv,
+      bench::kQuick | bench::kJobs | bench::kShards | bench::kTraceCap);
   const Time span = args.quick ? 600'000 : 3'000'000;
   const std::int64_t packet = 8 * 1024;
 
@@ -140,9 +124,6 @@ int main(int argc, char** argv) {
               "%lld-byte packets, %lld byte-times, warm-up + best of %d)\n",
               static_cast<long long>(packet), static_cast<long long>(span),
               kRepetitions);
-  bench::print_header("mode", {"wall_ms", "events", "events_per_sec",
-                               "sim_bytes", "sim_bytes_per_wall_sec",
-                               "event_queue_peak", "throughput_mbps"});
   bench::JsonBench json("sim_hotpath");
 
   // --- Section 1: fig12-scale mode matrix (burst, tracing). The third
@@ -175,29 +156,24 @@ int main(int argc, char** argv) {
   const Time scale_span = args.quick ? 9'000'000 : 20'000'000;
   const int scale_reps = args.quick ? 2 : kRepetitions;
 
-  // Rows: modes, mode-ratio row, engine modes, engine-ratio row.
-  const std::size_t engine_base = modes.size() + 1;
-  json.resize_rows(engine_base + engine_modes.size() + 1);
-
   const harness::WallTimer sweep;
   harness::SweepRunner pool(args.jobs);
   std::vector<Timed> timed(modes.size());
   std::vector<Timed> engine_timed(engine_modes.size());
   const std::size_t n_points = modes.size() + engine_modes.size();
   const auto walls = pool.run_indexed(n_points, [&](std::size_t i) {
+    bench::TestbedOptions opts;
+    opts.shards = args.shards;
     if (i < modes.size()) {
-      bench::TestbedOptions opts;
       opts.senders = 8;
       opts.packet_size = packet;
       opts.span = span;
       opts.burst_channels = modes[i].burst;
       opts.tracing = modes[i].tracing;
       opts.trace_cap = args.trace_cap;
-      opts.shards = args.shards;
       timed[i] = timed_run(opts, kRepetitions);
     } else {
       const EngineMode& m = engine_modes[i - modes.size()];
-      bench::TestbedOptions opts;
       opts.torus = torus;
       opts.senders = torus * torus;
       opts.packet_size = scale_packet;
@@ -206,45 +182,39 @@ int main(int argc, char** argv) {
       opts.inject_period = scale_period;
       opts.queue = m.queue;
       opts.fast_forward = m.fast_forward;
-      opts.shards = args.shards;
       engine_timed[i - modes.size()] = timed_run(opts, scale_reps);
     }
   });
+  // JSON rows: modes, mode-ratio row, engine modes, engine-ratio row.
   for (std::size_t i = 0; i < modes.size(); ++i)
-    report(modes[i].name, timed[i], json, i, modes[i].burst, modes[i].tracing);
+    bench::emit(
+        mode_row(modes[i].name, timed[i], modes[i].burst, modes[i].tracing),
+        i == 0, json);
 
-  const Timed& burst = timed[0];
-  const Timed& per_byte = timed[1];
-  const Timed& traced = timed[2];
-  const double speedup =
-      burst.wall_ms > 0 ? per_byte.wall_ms / burst.wall_ms : 0.0;
+  const bench::TestbedResult& burst = timed[0].result;
+  const bench::TestbedResult& per_byte = timed[1].result;
+  const bench::TestbedResult& traced = timed[2].result;
+  const double speedup = bench::ratio(timed[1].wall_ms, timed[0].wall_ms);
   const double event_ratio =
-      burst.result.events_dispatched > 0
-          ? static_cast<double>(per_byte.result.events_dispatched) /
-                static_cast<double>(burst.result.events_dispatched)
-          : 0.0;
+      bench::ratio(per_byte.events_dispatched, burst.events_dispatched);
   const double tracing_overhead =
-      burst.wall_ms > 0 ? traced.wall_ms / burst.wall_ms : 0.0;
+      bench::ratio(timed[2].wall_ms, timed[0].wall_ms);
   std::printf("# burst speedup: %.2fx wall clock, %.2fx fewer events\n",
               speedup, event_ratio);
   std::printf("# tracing overhead: %.2fx wall clock, %lld events recorded "
               "(%lld dropped; raise --trace-cap to keep them)\n",
-              tracing_overhead,
-              static_cast<long long>(traced.result.trace_events),
-              static_cast<long long>(traced.result.trace_dropped));
-  if (burst.result.throughput_mbps != per_byte.result.throughput_mbps)
+              tracing_overhead, static_cast<long long>(traced.trace_events),
+              static_cast<long long>(traced.trace_dropped));
+  if (burst.throughput_mbps != per_byte.throughput_mbps)
     std::printf("# WARNING: modes disagree on throughput — burst bug!\n");
-  if (burst.result.throughput_mbps != traced.result.throughput_mbps)
+  if (burst.throughput_mbps != traced.throughput_mbps)
     std::printf("# WARNING: tracing changed the results — observer bug!\n");
-  json.set_row(modes.size(),
-               {{"speedup_wall", speedup},
-                {"event_ratio", event_ratio},
-                {"tracing_overhead_wall", tracing_overhead},
-                {"best_of", static_cast<double>(kRepetitions)},
-                {"trace_events",
-                 static_cast<double>(traced.result.trace_events)},
-                {"trace_dropped",
-                 static_cast<double>(traced.result.trace_dropped)}});
+  json.add_row({bench::json_col("speedup_wall", speedup),
+                bench::json_col("event_ratio", event_ratio),
+                bench::json_col("tracing_overhead_wall", tracing_overhead),
+                bench::json_col("best_of", kRepetitions),
+                bench::json_col("trace_events", traced.trace_events),
+                bench::json_col("trace_dropped", traced.trace_dropped)});
 
   std::printf("# Engine matrix: %dx%d torus at rest (%d hosts, %lld-byte "
               "packets to %d-host groups every %lld byte-times, %lld "
@@ -253,61 +223,49 @@ int main(int argc, char** argv) {
               static_cast<long long>(scale_packet), scale_group,
               static_cast<long long>(scale_period),
               static_cast<long long>(scale_span), scale_reps);
-  bench::print_header("engine", {"sim_wall_ms", "wall_ms", "events",
-                                 "app_polls", "sim_bytes_per_wall_sec",
-                                 "event_queue_peak", "pool_fresh",
-                                 "pool_reused", "throughput_mbps"});
   for (std::size_t i = 0; i < engine_modes.size(); ++i) {
-    bench::TestbedOptions o;
-    o.queue = engine_modes[i].queue;
-    o.fast_forward = engine_modes[i].fast_forward;
-    report_engine(engine_modes[i].name, engine_timed[i], json, engine_base + i,
-                  o);
+    const EngineMode& m = engine_modes[i];
+    bench::emit(engine_row(m.name, engine_timed[i],
+                           m.queue == EventQueueKind::kCalendar,
+                           m.fast_forward),
+                i == 0, json);
   }
-  const Timed& baseline = engine_timed[0];
-  const Timed& cal_poll = engine_timed[1];
-  const Timed& cal_ff = engine_timed[2];
+  const bench::TestbedResult& baseline = engine_timed[0].result;
+  const bench::TestbedResult& cal_poll = engine_timed[1].result;
+  const bench::TestbedResult& cal_ff = engine_timed[2].result;
   // Speedups compare event-loop wall (sim_wall_ms): network construction
   // is identical across engines and amortizes out at real spans anyway.
   const double hot_speedup =
-      cal_ff.sim_wall_ms > 0 ? baseline.sim_wall_ms / cal_ff.sim_wall_ms : 0.0;
+      bench::ratio(engine_timed[0].sim_wall_ms, engine_timed[2].sim_wall_ms);
   const double queue_speedup =
-      cal_poll.sim_wall_ms > 0 ? baseline.sim_wall_ms / cal_poll.sim_wall_ms
-                               : 0.0;
+      bench::ratio(engine_timed[0].sim_wall_ms, engine_timed[1].sim_wall_ms);
   const double hot_event_ratio =
-      cal_ff.result.events_dispatched > 0
-          ? static_cast<double>(baseline.result.events_dispatched) /
-                static_cast<double>(cal_ff.result.events_dispatched)
-          : 0.0;
-  const double poll_ratio =
-      cal_ff.result.app_polls > 0
-          ? static_cast<double>(baseline.result.app_polls) /
-                static_cast<double>(cal_ff.result.app_polls)
-          : 0.0;
+      bench::ratio(baseline.events_dispatched, cal_ff.events_dispatched);
+  const double poll_ratio = bench::ratio(baseline.app_polls, cal_ff.app_polls);
   // The three engines must agree bit-for-bit on the physics: calendar vs
   // heap is pinned by the queue_equivalence ctest, fast-forward vs legacy
   // polling by idle_poller_test — this is the end-to-end restatement.
-  const bool agree =
-      baseline.result.throughput_mbps == cal_ff.result.throughput_mbps &&
-      baseline.result.throughput_mbps == cal_poll.result.throughput_mbps &&
-      baseline.result.bytes_on_wire == cal_ff.result.bytes_on_wire &&
-      baseline.result.loss_rate == cal_ff.result.loss_rate;
+  const bool agree = baseline.throughput_mbps == cal_ff.throughput_mbps &&
+                     baseline.throughput_mbps == cal_poll.throughput_mbps &&
+                     baseline.bytes_on_wire == cal_ff.bytes_on_wire &&
+                     baseline.loss_rate == cal_ff.loss_rate;
   std::printf("# hot-path speedup at 1k hosts: %.2fx wall clock "
               "(queue alone: %.2fx), %.2fx fewer events, %.1fx fewer polls\n",
               hot_speedup, queue_speedup, hot_event_ratio, poll_ratio);
   if (!agree)
     std::printf("# WARNING: engine modes disagree on results — queue or "
                 "fast-forward bug!\n");
-  json.set_row(engine_base + engine_modes.size(),
-               {{"hotpath_speedup_wall", hot_speedup},
-                {"queue_speedup_wall", queue_speedup},
-                {"hotpath_event_ratio", hot_event_ratio},
-                {"hotpath_poll_ratio", poll_ratio},
-                {"engines_agree", agree ? 1.0 : 0.0},
-                {"best_of", static_cast<double>(scale_reps)}});
+  json.add_row({bench::json_col("hotpath_speedup_wall", hot_speedup),
+                bench::json_col("queue_speedup_wall", queue_speedup),
+                bench::json_col("hotpath_event_ratio", hot_event_ratio),
+                bench::json_col("hotpath_poll_ratio", poll_ratio),
+                bench::json_col("engines_agree", agree),
+                bench::json_col("best_of", scale_reps)});
 
-  json.set_counters(traced.result.counters);
-  bench::stamp_sweep_meta(json, pool, walls, sweep);
+  json.set_counters(traced.counters);
+  json.set_meta("jobs", pool.jobs());
+  json.set_point_walls(walls);
+  json.set_meta("sweep_wall_ms", sweep.elapsed_ms());
   json.write();
   return agree ? 0 : 1;
 }

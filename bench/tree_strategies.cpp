@@ -21,6 +21,7 @@
 // functions of the point index, so rows are bit-identical at any --jobs.
 #include <cstdint>
 #include <cstdio>
+#include <span>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -38,15 +39,7 @@ constexpr std::int64_t kPayload = 1'024;
 constexpr Time kSendGap = 600;        // byte-times between successive sends
 constexpr Time kPhaseDrain = 400'000; // settle budget after each burst
 
-struct TopoSpec {
-  const char* name;
-  int approx_hosts;  // documentation only
-};
-constexpr TopoSpec kTopos[] = {
-    {"torus8x8", 64},
-    {"shufflenet23", 24},
-    {"rmesh16", 16},
-};
+constexpr const char* kTopoNames[] = {"torus8x8", "shufflenet23", "rmesh16"};
 
 struct GroupShape {
   int size;
@@ -63,19 +56,13 @@ constexpr TreeStrategyKind kStrategies[] = {
 };
 
 Topology build_topo(int t, std::uint64_t shape_seed) {
-  switch (t) {
-    case 0:
-      return make_torus(8, 8);
-    case 1:
-      return make_bidir_shufflenet(2, 3);
-    default: {
-      // Same irregular mesh for every strategy at this (shape, rep):
-      // seeded by the shape, never by the strategy, or the comparison
-      // would be across different fabrics.
-      RandomStream rng(RandomStream::seed_mix(0x7EE57090ull, shape_seed));
-      return make_random_mesh(16, 3.0, rng);
-    }
-  }
+  if (t == 0) return make_torus(8, 8);
+  if (t == 1) return make_bidir_shufflenet(2, 3);
+  // Same irregular mesh for every strategy at this (shape, rep): seeded by
+  // the shape, never by the strategy, or the comparison would be across
+  // different fabrics.
+  RandomStream rng(RandomStream::seed_mix(0x7EE57090ull, shape_seed));
+  return make_random_mesh(16, 3.0, rng);
 }
 
 /// Depth (ports traversed from the source's switch, host link included) of
@@ -92,21 +79,20 @@ void walk_branch(const Topology& topo, NodeId at, const McastRouteTree& t,
     walk_branch(topo, next, c, depth + 1, out);
 }
 
-struct PointResult {
-  double throughput = 0.0;
-  double completion_mean = 0.0;
-  bool has_completion = false;
-  double peak_switch_share = 0.0;
-  double root_share = 0.0;
-  double stretch = 0.0;
-  double worms_per_mcast = 0.0;
-  std::int64_t outstanding = 0;
+enum Metric {
+  kThroughput,
+  kCompletionMean,  // unsampled when no multicast completed
+  kPeakSwitchShare,
+  kRootShare,
+  kStretch,
+  kWormsPerMcast,
+  kOutstanding,
 };
 
-PointResult run_point(int topo_idx, GroupShape shape, TreeStrategyKind strat,
-                      int rep, int rounds, std::uint64_t seed,
-                      std::size_t trace_cap, bench::CheckCollector& checks,
-                      std::size_t slot, const std::string& label) {
+bench::Sample run_point(int topo_idx, GroupShape shape,
+                        TreeStrategyKind strat, int rep, int rounds,
+                        std::uint64_t seed, const bench::Point& pt,
+                        const std::string& label) {
   const std::uint64_t shape_seed =
       RandomStream::seed_mix(kBaseSeed, (std::uint64_t(topo_idx) << 16) |
                               (std::uint64_t(shape.size) << 8) |
@@ -124,7 +110,7 @@ PointResult run_point(int topo_idx, GroupShape shape, TreeStrategyKind strat,
   cfg.tree.kind = strat;
   cfg.seed = seed;
   Network net(std::move(topo), groups, cfg);
-  if (checks.enabled()) net.enable_tracing(trace_cap);
+  if (pt.checks->enabled()) net.enable_tracing(pt.trace_cap);
   bench::arm_watchdog(net);
 
   const Topology& t = net.topology();
@@ -181,16 +167,17 @@ PointResult run_point(int topo_idx, GroupShape shape, TreeStrategyKind strat,
     if (net.metrics().outstanding() >= before) break;  // no progress: stuck
   }
 
-  PointResult out;
-  out.outstanding =
-      static_cast<std::int64_t>(net.metrics().outstanding_messages().size());
+  bench::Sample out(kOutstanding + 1, 0.0);
+  out[kOutstanding] =
+      static_cast<double>(net.metrics().outstanding_messages().size());
   const Time t_end = net.metrics().last_completion_time();
   if (t_end > t0)
-    out.throughput = static_cast<double>(net.metrics().payload_delivered()) /
-                     static_cast<double>(t_end - t0);
+    out[kThroughput] =
+        static_cast<double>(net.metrics().payload_delivered()) /
+        static_cast<double>(t_end - t0);
   const SampleSet& comp = net.metrics().mcast_completion();
-  out.has_completion = comp.count() > 0;
-  out.completion_mean = comp.mean();
+  out[kCompletionMean] = std::nullopt;
+  if (comp.count() > 0) out[kCompletionMean] = comp.mean();
 
   std::int64_t total = 0, peak = 0, root_bytes = 0;
   for (NodeId n = 0; n < t.num_nodes(); ++n) {
@@ -201,8 +188,10 @@ PointResult run_point(int topo_idx, GroupShape shape, TreeStrategyKind strat,
     if (n == net.routing().root()) root_bytes = d;
   }
   if (total > 0) {
-    out.peak_switch_share = static_cast<double>(peak) / static_cast<double>(total);
-    out.root_share = static_cast<double>(root_bytes) / static_cast<double>(total);
+    out[kPeakSwitchShare] =
+        static_cast<double>(peak) / static_cast<double>(total);
+    out[kRootShare] =
+        static_cast<double>(root_bytes) / static_cast<double>(total);
   }
 
   // Plan-shape metrics from the strategy's own plans (post-replan state).
@@ -227,33 +216,30 @@ PointResult run_point(int topo_idx, GroupShape shape, TreeStrategyKind strat,
       }
     }
   }
-  if (stretch_n > 0) out.stretch = stretch_sum / static_cast<double>(stretch_n);
+  if (stretch_n > 0)
+    out[kStretch] = stretch_sum / static_cast<double>(stretch_n);
   if (n_groups > 0)
-    out.worms_per_mcast = static_cast<double>(worms) / n_groups;
+    out[kWormsPerMcast] = static_cast<double>(worms) / n_groups;
 
-  checks.collect(slot, net, label);
+  pt.checks->collect(pt.slot, net, label);
   return out;
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  const bench::BenchArgs args = bench::parse_bench_args(argc, argv);
+  const bench::BenchArgs args = bench::parse_bench_args(
+      argc, argv,
+      bench::kQuick | bench::kJobs | bench::kReps | bench::kTraceCap |
+          bench::kCheck | bench::kStrategy);
   const int rounds = args.quick ? 4 : 8;
   const int n_topos = args.quick ? 2 : 3;  // quick: torus + shufflenet
-  const auto* shapes = args.quick ? kQuickShapes : kShapes;
-  const std::size_t n_shapes =
-      args.quick ? std::size(kQuickShapes) : std::size(kShapes);
-  const std::size_t trace_cap = args.check && !args.trace_cap_explicit
-                                    ? bench::kCheckTraceCapacity
-                                    : args.trace_cap;
+  const std::span<const GroupShape> shapes =
+      args.quick ? std::span<const GroupShape>(kQuickShapes) : kShapes;
 
   std::printf("# Tree-strategy ablation: %d rounds x group burst per point, "
               "interrupt switch scheme, payload %lld B\n",
               rounds, static_cast<long long>(kPayload));
-  bench::print_header("topo,strategy,gsize,gcount,rep",
-                      {"throughput", "completion_mean", "peak_switch_share",
-                       "root_share", "stretch", "worms_per_mcast"});
 
   // --strategy restricts the sweep to one builder; per-point seeds are
   // keyed by (topo, shape, strategy, rep), so a restricted run's rows are
@@ -261,73 +247,66 @@ int main(int argc, char** argv) {
   std::vector<TreeStrategyKind> strategies(std::begin(kStrategies),
                                            std::end(kStrategies));
   if (args.strategy_explicit) strategies = {args.strategy};
-  const std::size_t n_strats = strategies.size();
-  const std::size_t n_tasks =
-      std::size_t(n_topos) * n_shapes * n_strats * std::size_t(args.reps);
-  bench::JsonBench json("tree_strategies");
-  json.resize_rows(n_tasks);
-  bench::CheckCollector checks(args.check);
-  checks.resize(n_tasks);
-  std::vector<PointResult> results(n_tasks);
-  std::vector<std::string> point_labels(n_tasks);
 
-  harness::WallTimer sweep;
-  harness::SweepRunner pool(args.jobs);
-  const auto walls = pool.run_indexed(n_tasks, [&](std::size_t i) {
-    std::size_t rem = i;
-    const int rep = static_cast<int>(rem % std::size_t(args.reps));
-    rem /= std::size_t(args.reps);
-    const std::size_t s = rem % n_strats;
-    rem /= n_strats;
-    const std::size_t sh = rem % n_shapes;
-    const int topo_idx = static_cast<int>(rem / n_shapes);
-    const TreeStrategyKind strat = strategies[s];
-    const GroupShape shape = shapes[sh];
-    const std::string label =
-        std::string(kTopos[topo_idx].name) + "/" + tree_strategy_name(strat) +
-        "/g" + std::to_string(shape.size) + "x" + std::to_string(shape.count) +
-        "/rep" + std::to_string(rep);
-    point_labels[i] = label;
+  // Every (topo, shape, strategy, rep) task is its own row.
+  struct Task {
+    int topo;
+    GroupShape shape;
+    TreeStrategyKind strat;
+    int rep;
+    std::string label;
+  };
+  std::vector<Task> tasks;
+  for (int t = 0; t < n_topos; ++t)
+    for (const GroupShape shape : shapes)
+      for (const TreeStrategyKind strat : strategies)
+        for (int rep = 0; rep < args.reps; ++rep)
+          tasks.push_back({t, shape, strat, rep,
+                           bench::format("%s/%s/g%dx%d/rep%d", kTopoNames[t],
+                                         tree_strategy_name(strat), shape.size,
+                                         shape.count, rep)});
+
+  bench::Sweep sweep{.xs = tasks.size()};
+  sweep.point = [&](const bench::Point& p) {
+    const Task& t = tasks[p.x];
     const std::size_t stable_point =
-        ((std::size_t(topo_idx) * 100 + std::size_t(shape.size)) * 100 +
-         std::size_t(shape.count)) *
+        ((std::size_t(t.topo) * 100 + std::size_t(t.shape.size)) * 100 +
+         std::size_t(t.shape.count)) *
             100 +
-        std::size_t(strat) * 10 + std::size_t(rep);
-    const std::uint64_t seed = harness::point_seed(kBaseSeed, stable_point);
-    results[i] = run_point(topo_idx, shape, strat, rep, rounds, seed,
-                           trace_cap, checks, i, label);
-    const PointResult& r = results[i];
-    json.set_row(i, {{"topo", double(topo_idx)},
-                     {"strategy", double(static_cast<int>(strat))},
-                     {"group_size", double(shape.size)},
-                     {"group_count", double(shape.count)},
-                     {"rep", double(rep)},
-                     {"throughput", r.throughput},
-                     {"completion_mean",
-                      bench::opt(r.completion_mean, r.has_completion)},
-                     {"peak_switch_share", r.peak_switch_share},
-                     {"root_share", r.root_share},
-                     {"stretch", r.stretch},
-                     {"worms_per_mcast", r.worms_per_mcast},
-                     {"outstanding", double(r.outstanding)}});
-  });
-
+        std::size_t(t.strat) * 10 + std::size_t(t.rep);
+    return run_point(t.topo, t.shape, t.strat, t.rep, rounds,
+                     harness::point_seed(kBaseSeed, stable_point), p,
+                     t.label);
+  };
   bool lost_any = false;
-  for (std::size_t i = 0; i < n_tasks; ++i) {
-    const PointResult& r = results[i];
-    std::printf("%s,%.4f,%.0f,%.3f,%.3f,%.3f,%.2f%s\n", point_labels[i].c_str(),
-                r.throughput, r.completion_mean, r.peak_switch_share,
-                r.root_share, r.stretch, r.worms_per_mcast,
-                r.outstanding > 0 ? ",OUTSTANDING" : "");
-    if (r.outstanding > 0) lost_any = true;
-  }
-  if (lost_any)
+  const auto table = [&](std::size_t x, const bench::Results& r) {
+    const Task& t = tasks[x];
+    const auto v = [&](Metric m) { return r.mean(x, 0, m); };
+    const bool outstanding = v(kOutstanding) > 0;
+    lost_any |= outstanding;
+    return bench::Cells{
+        bench::text_col("topo,strategy,gsize,gcount,rep", t.label),
+        bench::json_col("topo", t.topo),
+        bench::json_col("strategy", static_cast<int>(t.strat)),
+        bench::json_col("group_size", t.shape.size),
+        bench::json_col("group_count", t.shape.count),
+        bench::json_col("rep", t.rep),
+        bench::col("throughput", "%.4f", v(kThroughput)),
+        bench::col("completion_mean", "%.0f", v(kCompletionMean),
+                   r.stat(x, 0, kCompletionMean).count() > 0),
+        bench::col("peak_switch_share", "%.3f", v(kPeakSwitchShare)),
+        bench::col("root_share", "%.3f", v(kRootShare)),
+        bench::col("stretch", "%.3f", v(kStretch)),
+        bench::col("worms_per_mcast", "%.2f", v(kWormsPerMcast)),
+        bench::json_col("outstanding", v(kOutstanding)),
+        bench::text_col("", outstanding ? "OUTSTANDING" : "")};
+  };
+  sweep.views = {{"tree_strategies", "", table}};
+  sweep.finish = [&](bench::JsonBench& json, const bench::Results&) {
+    json.set_meta("rounds", double(rounds));
+    if (!lost_any) return 0;
     std::fprintf(stderr, "# ERROR: some points left messages outstanding\n");
-
-  bench::stamp_sweep_meta(json, pool, walls, sweep);
-  json.set_meta("rounds", double(rounds));
-  json.set_meta("reps", double(args.reps));
-  const int check_rc = checks.finalize(&json);
-  json.write();
-  return lost_any ? 1 : check_rc;
+    return 1;
+  };
+  return bench::run_sweep(args, sweep);
 }

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <bit>
 #include <cassert>
-#include <cstring>
 
 namespace wormcast {
 
@@ -16,28 +15,6 @@ constexpr std::size_t kInitialSlotCapacity = 1024;
 constexpr std::size_t kMinBudget = 64;
 
 }  // namespace
-
-const char* to_string(EventQueueKind kind) {
-  switch (kind) {
-    case EventQueueKind::kCalendar:
-      return "calendar";
-    case EventQueueKind::kHeap:
-      return "heap";
-  }
-  return "?";
-}
-
-bool parse_event_queue_kind(const char* name, EventQueueKind* out) {
-  if (std::strcmp(name, "calendar") == 0) {
-    *out = EventQueueKind::kCalendar;
-    return true;
-  }
-  if (std::strcmp(name, "heap") == 0) {
-    *out = EventQueueKind::kHeap;
-    return true;
-  }
-  return false;
-}
 
 EventQueue::EventQueue(EventQueueKind kind) : kind_(kind) {
   slots_.reserve(kInitialSlotCapacity);

@@ -26,10 +26,6 @@ enum class EventQueueKind : std::uint8_t {
   kHeap,      // flat binary heap (reference oracle for equivalence tests)
 };
 
-[[nodiscard]] const char* to_string(EventQueueKind kind);
-/// Parses "calendar" / "heap" (bench --queue flag). Returns false on junk.
-bool parse_event_queue_kind(const char* name, EventQueueKind* out);
-
 /// Handle returned by EventQueue::schedule; can be used to cancel the event.
 /// Value-semantic and cheap to copy. A default-constructed handle is invalid.
 ///

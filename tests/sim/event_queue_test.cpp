@@ -26,7 +26,10 @@ INSTANTIATE_TEST_SUITE_P(AllKinds, EventQueueTest,
                          ::testing::Values(EventQueueKind::kCalendar,
                                            EventQueueKind::kHeap),
                          [](const auto& param_info) {
-                           return std::string(to_string(param_info.param));
+                           return std::string(
+                               param_info.param == EventQueueKind::kCalendar
+                                   ? "calendar"
+                                   : "heap");
                          });
 
 TEST_P(EventQueueTest, FiresInTimeOrder) {
