@@ -26,6 +26,7 @@
 
 #include "core/network.h"
 #include "harness/sweep_runner.h"
+#include "sim/stats.h"
 
 namespace wormcast::bench {
 

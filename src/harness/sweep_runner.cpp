@@ -62,24 +62,4 @@ std::vector<double> SweepRunner::run_indexed(
   return wall_ms;
 }
 
-std::vector<RunningStat> SweepRunner::replicate(
-    std::uint64_t base_seed, int reps,
-    const std::function<std::vector<RunningStat>(std::uint64_t, int)>& fn) {
-  if (reps < 1) reps = 1;
-  std::vector<std::vector<RunningStat>> per_rep(
-      static_cast<std::size_t>(reps));
-  run_indexed(static_cast<std::size_t>(reps), [&](std::size_t r) {
-    per_rep[r] = fn(point_seed(base_seed, r), static_cast<int>(r));
-  });
-  // Merge strictly in replication order: floating-point merge order is
-  // part of the determinism contract.
-  std::vector<RunningStat> merged = std::move(per_rep[0]);
-  for (int r = 1; r < reps; ++r) {
-    const auto& rep = per_rep[static_cast<std::size_t>(r)];
-    for (std::size_t s = 0; s < merged.size() && s < rep.size(); ++s)
-      merged[s].merge(rep[s]);
-  }
-  return merged;
-}
-
 }  // namespace wormcast::harness

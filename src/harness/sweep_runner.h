@@ -15,17 +15,12 @@
 //   * Each point derives its own seed via point_seed(base, i), so the
 //     simulation a point runs is a pure function of (config, base seed, i)
 //     — bit-identical at --jobs 1 and --jobs 64 (CI gates on this).
-//   * Replication merges (RunningStat::merge) are applied sequentially in
-//     replication order after all workers finish, so floating-point
-//     accumulation order is fixed too.
 #pragma once
 
 #include <chrono>
 #include <cstdint>
 #include <functional>
 #include <vector>
-
-#include "sim/stats.h"
 
 namespace wormcast::harness {
 
@@ -50,30 +45,6 @@ class SweepRunner {
   /// after all workers have stopped.
   std::vector<double> run_indexed(std::size_t n,
                                   const std::function<void(std::size_t)>& fn);
-
-  /// Typed convenience over run_indexed: collects fn's return values into
-  /// pre-sized slots so results[i] is point i's result regardless of which
-  /// worker ran it. R must be default-constructible.
-  template <typename R>
-  std::vector<R> map(std::size_t n,
-                     const std::function<R(std::size_t)>& fn,
-                     std::vector<double>* point_wall_ms = nullptr) {
-    std::vector<R> results(n);
-    auto walls = run_indexed(n, [&](std::size_t i) { results[i] = fn(i); });
-    if (point_wall_ms != nullptr) *point_wall_ms = std::move(walls);
-    return results;
-  }
-
-  /// Replication mode: runs `reps` independent replications of one
-  /// experiment point, each seeded with point_seed(base_seed, rep), and
-  /// merges the per-replication statistic vectors slot-wise with
-  /// RunningStat::merge — in replication order, after all replications
-  /// complete, so the merged moments are identical at any --jobs. `fn`
-  /// must return the same number of stats for every replication.
-  std::vector<RunningStat> replicate(
-      std::uint64_t base_seed, int reps,
-      const std::function<std::vector<RunningStat>(std::uint64_t seed,
-                                                   int rep)>& fn);
 
  private:
   int jobs_ = 1;

@@ -1,7 +1,6 @@
 #include "net/updown.h"
 
 #include <algorithm>
-#include <array>
 #include <queue>
 #include <stdexcept>
 #include <utility>
@@ -42,6 +41,17 @@ UpDownRouting::UpDownRouting(const Topology& topo, Options opts)
   if (preferred_root_ == kNoNode ||
       topo_.node(preferred_root_).kind != NodeKind::kSwitch)
     throw std::logic_error("up/down routing requires a switch root");
+  sw_index_.assign(static_cast<std::size_t>(topo_.num_nodes()), -1);
+  for (NodeId n = 0; n < topo_.num_nodes(); ++n) {
+    if (topo_.node(n).kind != NodeKind::kSwitch) continue;
+    sw_index_[static_cast<std::size_t>(n)] =
+        static_cast<std::int32_t>(sw_node_.size());
+    sw_node_.push_back(n);
+  }
+  // A shortest legal path never revisits a switch, so a hop count fits in
+  // a row entry below kNoHops.
+  if (sw_node_.size() >= kNoHops)
+    throw std::logic_error("up/down routing supports at most 65534 switches");
   link_dead_.assign(static_cast<std::size_t>(topo_.num_links()), false);
   rebuild(/*allow_partial=*/false);
 }
@@ -96,10 +106,30 @@ void UpDownRouting::rebuild(bool allow_partial) {
       up_end_[l] = std::min(lk.node_a, lk.node_b);
   }
 
+  // Switch graph over the labelled links: hosts are leaves, so only
+  // switch-to-switch arcs can carry a path.
+  arc_begin_.assign(sw_node_.size() + 1, 0);
+  arcs_.clear();
+  for (std::size_t i = 0; i < sw_node_.size(); ++i) {
+    const NodeId n = sw_node_[i];
+    arc_begin_[i] = static_cast<std::int32_t>(arcs_.size());
+    for (const TopoPort& p : topo_.node(n).ports) {
+      const LinkId l = p.link;
+      if (link_dead_[l] || up_end_[l] == kNoNode) continue;
+      if (tree_links_only_ && !on_tree_[l]) continue;
+      const NodeId m = topo_.peer(l, n);
+      if (topo_.node(m).kind != NodeKind::kSwitch) continue;
+      arcs_.push_back(Arc{sw_index_[static_cast<std::size_t>(m)],
+                          topo_.port_on(l, n), is_up_traversal(l, n)});
+    }
+  }
+  arc_begin_[sw_node_.size()] = static_cast<std::int32_t>(arcs_.size());
+
   // Every rebuild (failure, root migration) invalidates memoized paths:
   // stale entries would silently route under the old labels.
+  searched_from_ = kNoNode;
+  hop_rows_.clear();
   route_cache_.clear();
-  hop_cache_.clear();
 }
 
 void UpDownRouting::fail_link(LinkId l) {
@@ -118,77 +148,68 @@ void UpDownRouting::set_root(NodeId new_root) {
   rebuild(/*allow_partial=*/links_failed_ > 0);
 }
 
-UpDownRouting::PathResult UpDownRouting::shortest_legal_path(NodeId from_sw,
-                                                             NodeId to_sw) const {
+void UpDownRouting::search_from(NodeId from_sw) const {
+  if (from_sw == searched_from_) return;
   // BFS over (node, phase): phase 0 = may still go up; phase 1 = has gone
-  // down (only down traversals remain legal). Deterministic neighbour order
-  // (port index) fixes one path per pair.
-  const auto n_nodes = static_cast<std::size_t>(topo_.num_nodes());
-  struct Pred {
-    NodeId node = kNoNode;
-    int phase = -1;
-    LinkId link = kNoLink;
-  };
-  std::vector<std::array<int, 2>> dist(n_nodes, {-1, -1});
-  std::vector<std::array<Pred, 2>> pred(n_nodes);
-  std::queue<std::pair<NodeId, int>> frontier;
-  dist[from_sw][0] = 0;
-  frontier.push({from_sw, 0});
-  while (!frontier.empty()) {
-    const auto [n, ph] = frontier.front();
-    frontier.pop();
-    for (const TopoPort& p : topo_.node(n).ports) {
-      const LinkId l = p.link;
-      if (link_dead_[l] || up_end_[l] == kNoNode) continue;
-      if (tree_links_only_ && !on_tree_[l]) continue;
-      const NodeId m = topo_.peer(l, n);
-      if (topo_.node(m).kind != NodeKind::kSwitch) continue;  // hosts are leaves
-      const bool up = is_up_traversal(l, n);
-      if (up && ph == 1) continue;  // down->up is illegal
-      const int nph = up ? 0 : 1;
-      if (dist[m][nph] != -1) continue;
-      dist[m][nph] = dist[n][ph] + 1;
-      pred[m][nph] = Pred{n, ph, l};
-      frontier.push({m, nph});
+  // down (only down traversals remain legal). Arcs in port order fix one
+  // path per pair.
+  const std::size_t states = 2 * sw_node_.size();
+  dist_.assign(states, -1);
+  pred_state_.resize(states);
+  pred_arc_.resize(states);
+  queue_.resize(states);  // each state is enqueued at most once
+  const std::int32_t start = 2 * sw_index_[static_cast<std::size_t>(from_sw)];
+  dist_[static_cast<std::size_t>(start)] = 0;
+  std::size_t head = 0;
+  std::size_t tail = 0;
+  queue_[tail++] = start;
+  while (head < tail) {
+    const std::int32_t s = queue_[head++];
+    const std::int32_t n = s >> 1;
+    const bool gone_down = (s & 1) != 0;
+    const std::int32_t d = dist_[static_cast<std::size_t>(s)] + 1;
+    for (std::int32_t a = arc_begin_[static_cast<std::size_t>(n)];
+         a < arc_begin_[static_cast<std::size_t>(n) + 1]; ++a) {
+      const Arc& arc = arcs_[static_cast<std::size_t>(a)];
+      if (arc.up && gone_down) continue;  // down->up is illegal
+      const std::int32_t t = 2 * arc.to + (arc.up ? 0 : 1);
+      if (dist_[static_cast<std::size_t>(t)] != -1) continue;
+      dist_[static_cast<std::size_t>(t)] = d;
+      pred_state_[static_cast<std::size_t>(t)] = s;
+      pred_arc_[static_cast<std::size_t>(t)] = a;
+      queue_[tail++] = t;
     }
   }
-  int end_phase = -1;
-  if (dist[to_sw][0] != -1 &&
-      (dist[to_sw][1] == -1 || dist[to_sw][0] <= dist[to_sw][1]))
-    end_phase = 0;
-  else if (dist[to_sw][1] != -1)
-    end_phase = 1;
-  if (from_sw == to_sw) end_phase = 0;
-  if (end_phase == -1) throw std::logic_error("no legal up/down path");
-
-  PathResult out;
-  NodeId n = to_sw;
-  int ph = end_phase;
-  while (!(n == from_sw && dist[n][ph] == 0)) {
-    const Pred& pr = pred[n][ph];
-    out.nodes.push_back(n);
-    out.links.push_back(pr.link);
-    n = pr.node;
-    ph = pr.phase;
-  }
-  out.nodes.push_back(from_sw);
-  std::reverse(out.nodes.begin(), out.nodes.end());
-  std::reverse(out.links.begin(), out.links.end());
-  return out;
+  searched_from_ = from_sw;
 }
 
-SourceRoute UpDownRouting::path_to_route(HostId src, const PathResult& path,
-                                         NodeId final_dest_node) const {
-  (void)src;
+const std::vector<std::int32_t>& UpDownRouting::legal_path(
+    NodeId from_sw, NodeId to_sw) const {
+  search_from(from_sw);
+  const std::int32_t start = 2 * sw_index_[static_cast<std::size_t>(from_sw)];
+  const std::int32_t end = 2 * sw_index_[static_cast<std::size_t>(to_sw)];
+  const std::int32_t d0 = dist_[static_cast<std::size_t>(end)];
+  const std::int32_t d1 = dist_[static_cast<std::size_t>(end) + 1];
+  std::int32_t s = -1;
+  if (d0 != -1 && (d1 == -1 || d0 <= d1))
+    s = end;
+  else if (d1 != -1)
+    s = end + 1;
+  if (s == -1) throw std::logic_error("no legal up/down path");
+  path_.clear();
+  for (; s != start; s = pred_state_[static_cast<std::size_t>(s)])
+    path_.push_back(pred_arc_[static_cast<std::size_t>(s)]);
+  std::reverse(path_.begin(), path_.end());
+  return path_;
+}
+
+std::vector<PortId> UpDownRouting::path_ports(
+    const std::vector<std::int32_t>& arcs) const {
   std::vector<PortId> ports;
-  ports.reserve(path.links.size() + 1);
-  for (std::size_t i = 0; i < path.links.size(); ++i)
-    ports.push_back(topo_.port_on(path.links[i], path.nodes[i]));
-  // Last switch: exit toward the destination host.
-  const NodeId last_sw = path.nodes.back();
-  const TopoNode& dest = topo_.node(final_dest_node);
-  ports.push_back(topo_.port_on(dest.ports[0].link, last_sw));
-  return SourceRoute(std::move(ports));
+  ports.reserve(arcs.size() + 1);
+  for (const std::int32_t a : arcs)
+    ports.push_back(arcs_[static_cast<std::size_t>(a)].port);
+  return ports;
 }
 
 SourceRoute UpDownRouting::route(HostId src, HostId dst) const {
@@ -200,8 +221,11 @@ SourceRoute UpDownRouting::route(HostId src, HostId dst) const {
   const NodeId to_sw = topo_.switch_of_host(dst);
   if (levels_[from_sw] == -1 || levels_[to_sw] == -1)
     throw std::logic_error("no legal up/down path");
-  const PathResult path = shortest_legal_path(from_sw, to_sw);
-  SourceRoute out = path_to_route(src, path, topo_.node_of_host(dst));
+  std::vector<PortId> ports = path_ports(legal_path(from_sw, to_sw));
+  // Last switch: exit toward the destination host.
+  const TopoNode& dest = topo_.node(topo_.node_of_host(dst));
+  ports.push_back(topo_.port_on(dest.ports[0].link, to_sw));
+  SourceRoute out(std::move(ports));
   route_cache_.emplace(key, out);
   return out;
 }
@@ -219,24 +243,46 @@ void UpDownRouting::route_into(HostId src, HostId dst, SourceRoute& out) const {
 
 int UpDownRouting::hop_count(HostId src, HostId dst) const {
   if (src == dst) return 0;
-  const std::uint64_t key = pair_key(src, dst);
-  if (const auto it = hop_cache_.find(key); it != hop_cache_.end())
-    return it->second;
   const NodeId from_sw = topo_.switch_of_host(src);
   const NodeId to_sw = topo_.switch_of_host(dst);
   if (levels_[from_sw] == -1 || levels_[to_sw] == -1)
     throw std::logic_error("no legal up/down path");
-  const PathResult path = shortest_legal_path(from_sw, to_sw);
+  if (hop_rows_.empty()) hop_rows_.resize(sw_node_.size());
+  std::vector<std::uint16_t>& row =
+      hop_rows_[static_cast<std::size_t>(sw_index_[from_sw])];
+  if (row.empty()) {
+    search_from(from_sw);
+    row.resize(sw_node_.size());
+    for (std::size_t i = 0; i < row.size(); ++i) {
+      const std::int32_t d0 = dist_[2 * i];
+      const std::int32_t d1 = dist_[2 * i + 1];
+      const std::int32_t d = d0 == -1 ? d1 : d1 == -1 ? d0 : std::min(d0, d1);
+      row[i] = d == -1 ? kNoHops : static_cast<std::uint16_t>(d);
+    }
+  }
+  const std::uint16_t hops = row[static_cast<std::size_t>(sw_index_[to_sw])];
+  if (hops == kNoHops) throw std::logic_error("no legal up/down path");
   // Host link out, switch-to-switch links, host link in.
-  const int hops = static_cast<int>(path.links.size()) + 2;
-  hop_cache_.emplace(key, hops);
-  return hops;
+  return hops + 2;
+}
+
+std::size_t UpDownRouting::hop_row_bytes() const {
+  std::size_t bytes = 0;
+  for (const auto& row : hop_rows_) bytes += row.capacity() * sizeof(row[0]);
+  return bytes;
 }
 
 std::vector<NodeId> UpDownRouting::switch_path(HostId src, HostId dst) const {
   const NodeId from_sw = topo_.switch_of_host(src);
-  const NodeId to_sw = topo_.switch_of_host(dst);
-  return shortest_legal_path(from_sw, to_sw).nodes;
+  const std::vector<std::int32_t>& arcs =
+      legal_path(from_sw, topo_.switch_of_host(dst));
+  std::vector<NodeId> nodes;
+  nodes.reserve(arcs.size() + 1);
+  nodes.push_back(from_sw);
+  for (const std::int32_t a : arcs)
+    nodes.push_back(
+        sw_node_[static_cast<std::size_t>(arcs_[static_cast<std::size_t>(a)].to)]);
+  return nodes;
 }
 
 std::vector<PortId> UpDownRouting::down_tree_ports(NodeId sw) const {
@@ -255,12 +301,7 @@ SourceRoute UpDownRouting::route_to_root(HostId src) const {
   if (from_sw == root_) return SourceRoute{};
   if (levels_[from_sw] == -1)
     throw std::logic_error("no legal up/down path");
-  const PathResult path = shortest_legal_path(from_sw, root_);
-  std::vector<PortId> ports;
-  ports.reserve(path.links.size());
-  for (std::size_t i = 0; i < path.links.size(); ++i)
-    ports.push_back(topo_.port_on(path.links[i], path.nodes[i]));
-  return SourceRoute(std::move(ports));
+  return SourceRoute(path_ports(legal_path(from_sw, root_)));
 }
 
 }  // namespace wormcast

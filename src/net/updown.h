@@ -8,10 +8,19 @@
 //
 // Autonet's raison d'être was reconfiguration after component failure:
 // fail_link() removes a link permanently and recomputes the spanning tree
-// and labels over the surviving links, invalidating the route/hop caches so
-// the next retransmission uses the healed paths.
+// and labels over the surviving links, dropping the cached routes and hop
+// rows so the next retransmission uses the healed paths.
+//
+// Queries are answered from one search per source switch: a (node, phase)
+// BFS over a compact switch graph (live labelled switch-to-switch arcs in
+// port order) finds the shortest legal path from one switch to every
+// other. hop_count() keeps the whole result as a 2-byte row per queried
+// source switch (the host-connectivity graphs of Sections 5/6 ask for
+// every pair of a group); route queries walk the preds of the last search
+// and search again only when the source switch changes.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <unordered_map>
 #include <vector>
@@ -94,6 +103,10 @@ class UpDownRouting {
   /// (Section 5, Figure 8).
   [[nodiscard]] int hop_count(HostId src, HostId dst) const;
 
+  /// Bytes held by the hop rows: 2 per switch for each source switch
+  /// hop_count() has been asked about since the last rebuild; for tests.
+  [[nodiscard]] std::size_t hop_row_bytes() const;
+
   /// Node path (switches only) underlying route(src, dst); for tests.
   [[nodiscard]] std::vector<NodeId> switch_path(HostId src, HostId dst) const;
 
@@ -107,18 +120,30 @@ class UpDownRouting {
   [[nodiscard]] SourceRoute route_to_root(HostId src) const;
 
  private:
-  struct PathResult {
-    std::vector<NodeId> nodes;  // sw path: switch sequence src_sw..dst_sw
-    std::vector<LinkId> links;  // links between consecutive switches
+  /// One arc of the compact switch graph: a live, labelled link between two
+  /// switches (honouring tree_links_only), seen from its near end.
+  struct Arc {
+    std::int32_t to = -1;   // dense switch index of the far end
+    PortId port = kNoPort;  // output port at the near end
+    bool up = false;        // traversal moves toward the root
   };
-  /// (Re)computes root, BFS levels, tree membership and up/down labels over
-  /// the links still alive. `allow_partial` tolerates disconnected nodes
-  /// (post-failure); the constructor passes false so a malformed topology
-  /// still fails loudly.
+  /// hop_count() row entry for a switch no legal path reaches.
+  static constexpr std::uint16_t kNoHops = 0xFFFF;
+
+  /// (Re)computes root, BFS levels, tree membership, up/down labels and the
+  /// switch graph over the links still alive. `allow_partial` tolerates
+  /// disconnected nodes (post-failure); the constructor passes false so a
+  /// malformed topology still fails loudly.
   void rebuild(bool allow_partial);
-  [[nodiscard]] PathResult shortest_legal_path(NodeId from_sw, NodeId to_sw) const;
-  [[nodiscard]] SourceRoute path_to_route(HostId src, const PathResult& path,
-                                          NodeId final_dest_node) const;
+  /// (node, phase) BFS from `from_sw` over the switch graph into the search
+  /// scratch; a no-op when the last search already started there.
+  void search_from(NodeId from_sw) const;
+  /// Arcs of the shortest legal path from_sw -> to_sw, in path order, read
+  /// from the preds of a search from `from_sw`. Throws if none survives.
+  const std::vector<std::int32_t>& legal_path(NodeId from_sw,
+                                              NodeId to_sw) const;
+  [[nodiscard]] std::vector<PortId> path_ports(
+      const std::vector<std::int32_t>& arcs) const;
   [[nodiscard]] static std::uint64_t pair_key(HostId src, HostId dst) {
     return (static_cast<std::uint64_t>(static_cast<std::uint32_t>(src)) << 32) |
            static_cast<std::uint32_t>(dst);
@@ -134,10 +159,28 @@ class UpDownRouting {
   std::vector<bool> on_tree_;     // by LinkId
   std::vector<bool> link_dead_;   // by LinkId
   std::int64_t links_failed_ = 0;
-  // Per-pair memoization; fail_link() clears both so retransmissions pick
-  // up the recomputed paths.
+  // Switch graph in CSR form: switch i's arcs are
+  // arcs_[arc_begin_[i] .. arc_begin_[i + 1]), in port order (the BFS
+  // neighbour order, which fixes every tie-break).
+  std::vector<std::int32_t> sw_index_;  // by NodeId; -1 for hosts
+  std::vector<NodeId> sw_node_;         // by switch index
+  std::vector<std::int32_t> arc_begin_;
+  std::vector<Arc> arcs_;
+  // Search scratch, by state 2 * switch index + phase (phase 0 = may still
+  // go up, 1 = has gone down). Reused by every search; a rebuild resets
+  // searched_from_ so the next query searches the new graph.
+  mutable NodeId searched_from_ = kNoNode;
+  mutable std::vector<std::int32_t> dist_;
+  mutable std::vector<std::int32_t> pred_state_;
+  mutable std::vector<std::int32_t> pred_arc_;
+  mutable std::vector<std::int32_t> queue_;
+  mutable std::vector<std::int32_t> path_;
+  // hop_rows_[i]: switch-to-switch hops of the shortest legal path from
+  // switch i to every switch (kNoHops if none); empty until asked for.
+  // rebuild() drops the rows and the per-pair routes so retransmissions
+  // pick up the recomputed paths.
+  mutable std::vector<std::vector<std::uint16_t>> hop_rows_;
   mutable std::unordered_map<std::uint64_t, SourceRoute> route_cache_;
-  mutable std::unordered_map<std::uint64_t, int> hop_cache_;
 };
 
 }  // namespace wormcast

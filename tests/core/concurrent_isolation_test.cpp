@@ -103,8 +103,10 @@ TEST(ConcurrentIsolation, TwoNetworksOnThreadsMatchSequentialRuns) {
 TEST(ConcurrentIsolation, SweepRunnerPointsMatchSequentialAtAnyJobCount) {
   const std::vector<std::uint64_t> seeds = {3, 5, 9, 21};
   auto sweep = [&](int jobs) {
-    return harness::SweepRunner(jobs).map<RunResult>(
-        seeds.size(), [&](std::size_t i) { return run_experiment(seeds[i]); });
+    std::vector<RunResult> out(seeds.size());
+    harness::SweepRunner(jobs).run_indexed(
+        seeds.size(), [&](std::size_t i) { out[i] = run_experiment(seeds[i]); });
+    return out;
   };
   const auto seq = sweep(1);
   const auto par = sweep(4);

@@ -1,6 +1,6 @@
 // SweepRunner: order-stable parallel execution of independent sweep
-// points, deterministic seeds, and replication merges that are identical
-// at any job count. These tests run under the TSan CI job.
+// points and deterministic seeds. These tests run under the TSan CI job.
+// (Replication merge order is pinned by sweep_driver_test.)
 #include "harness/sweep_runner.h"
 
 #include <gtest/gtest.h>
@@ -23,11 +23,11 @@ TEST(SweepRunner, RunsEveryPointExactlyOnce) {
   for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
 }
 
-TEST(SweepRunner, MapKeepsResultsInPointOrder) {
+TEST(SweepRunner, SlotResultsKeepPointOrder) {
   SweepRunner pool(8);
-  const auto out = pool.map<int>(
-      50, [](std::size_t i) { return static_cast<int>(i * i); });
-  ASSERT_EQ(out.size(), 50u);
+  std::vector<int> out(50);
+  pool.run_indexed(out.size(),
+                   [&](std::size_t i) { out[i] = static_cast<int>(i * i); });
   for (std::size_t i = 0; i < out.size(); ++i)
     EXPECT_EQ(out[i], static_cast<int>(i * i));
 }
@@ -41,17 +41,23 @@ TEST(SweepRunner, ResultsIdenticalAcrossJobCounts) {
     for (int k = 0; k < 100; ++k) acc += rng.uniform(0, 1'000'000) * 1e-3;
     return acc;
   };
-  const auto seq = SweepRunner(1).map<double>(23, compute);
-  const auto par = SweepRunner(7).map<double>(23, compute);
-  ASSERT_EQ(seq.size(), par.size());
+  auto sweep = [&](int jobs) {
+    std::vector<double> out(23);
+    SweepRunner(jobs).run_indexed(out.size(),
+                                  [&](std::size_t i) { out[i] = compute(i); });
+    return out;
+  };
+  const auto seq = sweep(1);
+  const auto par = sweep(7);
   for (std::size_t i = 0; i < seq.size(); ++i) EXPECT_EQ(seq[i], par[i]);
 }
 
 TEST(SweepRunner, HandlesZeroPointsAndMoreJobsThanPoints) {
   SweepRunner pool(16);
   EXPECT_TRUE(pool.run_indexed(0, [](std::size_t) {}).empty());
-  const auto out =
-      pool.map<int>(3, [](std::size_t i) { return static_cast<int>(i) + 1; });
+  std::vector<int> out(3);
+  pool.run_indexed(out.size(),
+                   [&](std::size_t i) { out[i] = static_cast<int>(i) + 1; });
   EXPECT_EQ(out, (std::vector<int>{1, 2, 3}));
 }
 
@@ -88,37 +94,6 @@ TEST(PointSeed, DerivedSeedsAreDistinctAndStable) {
   }
   EXPECT_EQ(seen.size(), 1000u);  // no collisions across a sweep
   EXPECT_NE(point_seed(7, 1), point_seed(8, 1));
-}
-
-TEST(Replicate, MatchesSequentialMergeBitForBit) {
-  auto rep_stats = [](std::uint64_t seed, int) {
-    RandomStream rng(seed);
-    RunningStat a, b;
-    for (int k = 0; k < 50; ++k) {
-      a.add(static_cast<double>(rng.uniform(0, 1000)));
-      b.add(rng.chance(0.5) ? 1.0 : 0.0);
-    }
-    return std::vector<RunningStat>{a, b};
-  };
-
-  // Reference: sequential merge in replication order.
-  std::vector<RunningStat> expect = rep_stats(point_seed(99, 0), 0);
-  for (int r = 1; r < 6; ++r) {
-    const auto rep = rep_stats(point_seed(99, r), r);
-    for (std::size_t s = 0; s < expect.size(); ++s) expect[s].merge(rep[s]);
-  }
-
-  for (const int jobs : {1, 4}) {
-    const auto merged = SweepRunner(jobs).replicate(99, 6, rep_stats);
-    ASSERT_EQ(merged.size(), expect.size());
-    for (std::size_t s = 0; s < merged.size(); ++s) {
-      EXPECT_EQ(merged[s].count(), expect[s].count());
-      EXPECT_EQ(merged[s].mean(), expect[s].mean());
-      EXPECT_EQ(merged[s].variance(), expect[s].variance());
-      EXPECT_EQ(merged[s].min(), expect[s].min());
-      EXPECT_EQ(merged[s].max(), expect[s].max());
-    }
-  }
 }
 
 }  // namespace
