@@ -116,6 +116,10 @@ class HostProtocol final : public AdapterClient {
   [[nodiscard]] const BufferPool& pool() const { return pool_; }
   /// Forwarding tasks currently holding buffer space.
   [[nodiscard]] std::size_t active_tasks() const { return tasks_.size(); }
+  /// Random-stream state this host has allocated (0 until its first draw).
+  [[nodiscard]] std::size_t rng_state_bytes() const {
+    return rng_.state_bytes();
+  }
 
   // AdapterClient.
   RxDecision on_rx_head(const WormPtr& worm,

@@ -58,9 +58,6 @@ Network::Network(Topology topo, std::vector<MulticastGroupSpec> groups,
         [this](HostId dead) { declare_host_dead(dead); });
   }
   mcast_engine_->set_worm_pool(&worm_pool_);
-  traffic_ = std::make_unique<TrafficGenerator>(
-      sim_, config_.traffic, groups_, n, master.fork(0x7AFF1C),
-      [this](const Demand& d) { inject(d); });
   mcast_engine_->set_flush_handler([this](const WormPtr& worm) {
     protocols_[worm->src]->on_unicast_flushed(worm);
   });
@@ -568,6 +565,13 @@ void Network::declare_host_dead(HostId dead) {
 void Network::run(Time warmup, Time measure, Time drain_cap) {
   metrics_.set_window_start(warmup);
   measure_span_ = measure;
+  // The built-in workload is built here, its only user: networks driven by
+  // inject() never pay for its per-host streams.
+  if (!traffic_)
+    traffic_ = std::make_unique<TrafficGenerator>(
+        sim_, config_.traffic, groups_, topo_.num_hosts(),
+        RandomStream(config_.seed).fork(0x7AFF1C),
+        [this](const Demand& d) { inject(d); });
   traffic_->start(warmup + measure);
   // Window edges are read between run_until() calls, after every event of
   // the edge tick has fired: mid-tick reads would depend on how events
@@ -788,7 +792,8 @@ void Network::register_counters(CounterRegistry& reg) const {
   // for a given run (capacities follow the event sequence, not the
   // allocator), but per-executor structures (queues, trace rings, arena)
   // legitimately scale with the shard count — the shard gate exempts
-  // mem_* wholesale. The protocol entry counts object shells only; the
+  // mem_* wholesale. The protocol entry counts object shells plus the
+  // random-stream state each host has allocated by its first draw; the
   // fabric/adapters/tables entries include their queues and tables.
   reg.add("mem_fabric_bytes",
           i64([this] { return fabric_->heap_bytes_estimate(); }));
@@ -798,7 +803,9 @@ void Network::register_counters(CounterRegistry& reg) const {
     return bytes;
   }));
   reg.add("mem_protocols_bytes", i64([this] {
-    return protocols_.size() * sizeof(HostProtocol);
+    std::size_t bytes = protocols_.size() * sizeof(HostProtocol);
+    for (const auto& p : protocols_) bytes += p->rng_state_bytes();
+    return bytes;
   }));
   reg.add("mem_tables_bytes",
           i64([this] { return tables_->heap_bytes_estimate(); }));

@@ -20,7 +20,14 @@ NodeId Topology::add_host(std::string name) {
   TopoNode n;
   n.kind = NodeKind::kHost;
   n.host = host;
-  n.name = name.empty() ? "h" + std::to_string(host) : std::move(name);
+  if (name.empty()) {
+    // Appending rather than `"h" + std::to_string(host)`: GCC 12 at -O3
+    // reports a false -Wrestrict inside the inlined operator+.
+    n.name = "h";
+    n.name += std::to_string(host);
+  } else {
+    n.name = std::move(name);
+  }
   nodes_.push_back(std::move(n));
   host_nodes_.push_back(id);
   return id;

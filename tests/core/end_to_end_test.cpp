@@ -109,8 +109,8 @@ INSTANTIATE_TEST_SUITE_P(AllSchemes, McastSchemeTest,
                                            Scheme::kHamiltonianCT,
                                            Scheme::kTreeSF, Scheme::kTreeCT,
                                            Scheme::kTreeBroadcast),
-                         [](const auto& info) {
-                           std::string n = scheme_name(info.param);
+                         [](const auto& param_info) {
+                           std::string n = scheme_name(param_info.param);
                            for (char& c : n)
                              if (c == '-') c = '_';
                            return n;

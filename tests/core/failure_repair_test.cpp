@@ -307,9 +307,13 @@ TEST(FailureRepair, PermanentLinkDeathRecomputesRoutes) {
   EXPECT_FALSE(net.routing().link_alive(victim));
   EXPECT_EQ(net.summary().links_failed, 1);
   // All hosts still mutually reachable over the healed up/down labels.
-  for (HostId a = 0; a < 9; ++a)
-    for (HostId b = 0; b < 9; ++b)
-      if (a != b) EXPECT_GT(net.routing().hop_count(a, b), 0);
+  for (HostId a = 0; a < 9; ++a) {
+    for (HostId b = 0; b < 9; ++b) {
+      if (a != b) {
+        EXPECT_GT(net.routing().hop_count(a, b), 0);
+      }
+    }
+  }
   expect_survivors_clean(net, {});
   expect_exactly_once(net, 0, {});
   EXPECT_EQ(net.summary().messages_completed, 12);

@@ -8,6 +8,7 @@
 
 #include "core/network.h"
 #include "net/topologies.h"
+#include "sim/counters.h"
 
 namespace wormcast {
 namespace {
@@ -128,8 +129,8 @@ INSTANTIATE_TEST_SUITE_P(ReservationSchemes, FaultRecoveryTest,
                          ::testing::Values(Scheme::kHamiltonianSF,
                                            Scheme::kHamiltonianCT,
                                            Scheme::kTreeSF, Scheme::kTreeCT),
-                         [](const ::testing::TestParamInfo<Scheme>& info) {
-                           std::string s = scheme_name(info.param);
+                         [](const auto& param_info) {
+                           std::string s = scheme_name(param_info.param);
                            for (char& c : s)
                              if (c == '-') c = '_';
                            return s;
@@ -218,6 +219,34 @@ TEST(FaultRecovery, NoFaultsMeansNoTimeoutsOrDuplicates) {
   EXPECT_EQ(s.duplicates_suppressed, 0);
   EXPECT_EQ(s.retransmits, 0);
   expect_fully_recovered(net, 10);
+}
+
+// The memory audit's protocol entry: HostProtocol shells plus the random
+// state each host allocated by drawing. A built network has drawn nothing;
+// lost ACKs make some hosts draw retry jitter, and only those count.
+TEST(FaultRecovery, ProtocolMemoryCountsOnlyDrawnStreamState) {
+  ExperimentConfig cfg = recovery_config(Scheme::kTreeSF);
+  cfg.faults.ctrl_loss_rate = 0.25;
+  Network net(make_myrinet_testbed(), {all_hosts_group(8)}, cfg);
+  const auto protocols_bytes = [&net] {
+    CounterRegistry reg;
+    net.register_counters(reg);
+    for (const auto& [name, value] : reg.snapshot())
+      if (name == "mem_protocols_bytes") return value;
+    return -1.0;
+  };
+  const double shells = 8.0 * sizeof(HostProtocol);
+  EXPECT_EQ(protocols_bytes(), shells);
+  inject_multicasts(net, 12, 256);
+  net.run_to_quiescence();
+  ASSERT_GT(net.summary().ack_timeouts, 0);
+  int drew = 0;
+  for (HostId h = 0; h < 8; ++h)
+    if (net.protocol(h).rng_state_bytes() > 0) ++drew;
+  EXPECT_GT(drew, 0);
+  EXPECT_LT(drew, 8);  // hosts that never timed out still hold none
+  EXPECT_EQ(protocols_bytes(),
+            shells + static_cast<double>(drew * sizeof(Mt19937_64)));
 }
 
 }  // namespace

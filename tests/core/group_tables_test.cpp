@@ -25,7 +25,7 @@ TEST_F(GroupTablesTest, CircuitOrdersByIncreasingId) {
   EXPECT_EQ(c.next(12), 3);  // wrap-around: the one ID reversal
   EXPECT_TRUE(c.contains(7));
   EXPECT_FALSE(c.contains(8));
-  EXPECT_THROW(c.next(8), std::invalid_argument);
+  EXPECT_THROW(static_cast<void>(c.next(8)), std::invalid_argument);
 }
 
 TEST_F(GroupTablesTest, CircuitRejectsBadGroups) {
@@ -98,7 +98,7 @@ TEST_F(GroupTablesTest, GroupTablesLookups) {
   EXPECT_FALSE(tables.is_member(0, 0));
   EXPECT_EQ(tables.tree(1).root(), 0);
   EXPECT_EQ(tables.circuit(0).lowest(), 1);
-  EXPECT_THROW(tables.circuit(9), std::invalid_argument);
+  EXPECT_THROW(static_cast<void>(tables.circuit(9)), std::invalid_argument);
 }
 
 TEST_F(GroupTablesTest, SingleMemberGroup) {
@@ -163,8 +163,11 @@ TEST_F(GroupTablesTest, TreeRootRemovalPromotesLowestSurvivor) {
   EXPECT_TRUE(r.root_promoted);
   EXPECT_EQ(t.root(), 5);
   EXPECT_EQ(t.parent(5), kNoHost);
-  for (const HostId m : t.members())
-    if (m != t.root()) EXPECT_LT(t.parent(m), m);
+  for (const HostId m : t.members()) {
+    if (m != t.root()) {
+      EXPECT_LT(t.parent(m), m);
+    }
+  }
 }
 
 TEST_F(GroupTablesTest, GroupTablesRemoveMemberRepairsEveryGroup) {
@@ -238,8 +241,11 @@ TEST_F(GroupTablesTest, TreeAddMemberBelowRootAdoptsNewRoot) {
   // The old root is the new root's only child; nobody else re-parented.
   EXPECT_EQ(t.parent(4), 1);
   EXPECT_EQ(t.children(1), (std::vector<HostId>{4}));
-  for (const HostId m : t.members())
-    if (m != t.root()) EXPECT_LT(t.parent(m), m);
+  for (const HostId m : t.members()) {
+    if (m != t.root()) {
+      EXPECT_LT(t.parent(m), m);
+    }
+  }
 }
 
 TEST_F(GroupTablesTest, GroupTablesAddMemberSplicesCircuitAndTree) {

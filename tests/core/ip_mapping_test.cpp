@@ -24,7 +24,8 @@ TEST(IpMapping, Group255IsBroadcast) {
 }
 
 TEST(IpMapping, NonMulticastThrows) {
-  EXPECT_THROW(myrinet_group_of(ipv4(192, 168, 0, 1)), std::invalid_argument);
+  EXPECT_THROW(static_cast<void>(myrinet_group_of(ipv4(192, 168, 0, 1))),
+               std::invalid_argument);
 }
 
 TEST(IpMapping, CollisionsAreDetected) {

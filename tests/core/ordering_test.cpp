@@ -87,8 +87,8 @@ INSTANTIATE_TEST_SUITE_P(Schemes, OrderedSchemeTest,
                          ::testing::Values(Scheme::kHamiltonianSF,
                                            Scheme::kHamiltonianCT,
                                            Scheme::kTreeSF, Scheme::kTreeCT),
-                         [](const auto& info) {
-                           std::string n = scheme_name(info.param);
+                         [](const auto& param_info) {
+                           std::string n = scheme_name(param_info.param);
                            for (char& c : n)
                              if (c == '-') c = '_';
                            return n;

@@ -34,7 +34,7 @@ TEST(Fabric, SwitchAtRejectsHosts) {
   Simulator sim;
   const Topology topo = make_star(2);
   Fabric fabric(sim, topo);
-  EXPECT_NO_THROW(fabric.switch_at(0));  // the hub
+  EXPECT_NO_THROW(static_cast<void>(fabric.switch_at(0)));  // the hub
   // Host nodes have no switch runtime; accessing one is a programming
   // error caught by assert in debug — only verify the happy path here.
   SwitchRt& hub = fabric.switch_at(0);

@@ -117,8 +117,8 @@ INSTANTIATE_TEST_SUITE_P(Schemes, SwitchMcastSchemeTest,
                          ::testing::Values(SwitchMcastScheme::kIdleFill,
                                            SwitchMcastScheme::kInterrupt,
                                            SwitchMcastScheme::kFlushUnicast),
-                         [](const auto& info) {
-                           switch (info.param) {
+                         [](const auto& param_info) {
+                           switch (param_info.param) {
                              case SwitchMcastScheme::kIdleFill:
                                return "idle_fill";
                              case SwitchMcastScheme::kInterrupt:
