@@ -1,7 +1,7 @@
 // Self-timed microbenchmarks of the simulator's hot paths: event queue
 // operations (both queue kinds), up/down route computation (fresh and
-// arena-reusing), multicast route encoding, and byte-level end-to-end
-// channel throughput. Useful when tuning the engine; not part of the
+// arena-reusing), hop-row and group-table builds, multicast route
+// encoding, and byte-level end-to-end channel throughput. Useful when tuning the engine; not part of the
 // paper reproduction.
 //
 // Each benchmark body runs once as warm-up, then repeats until a minimum
@@ -17,6 +17,7 @@
 #include <vector>
 
 #include "bench_util.h"
+#include "core/group_tables.h"
 #include "core/network.h"
 #include "net/mcast_route_builder.h"
 #include "net/topologies.h"
@@ -114,6 +115,18 @@ int main(int argc, char** argv) {
   std::vector<HostId> dests;
   for (HostId h = 1; h < 64; h += 4) dests.push_back(h);
   const auto branches = build_mcast_branches(tree_routing, 0, dests);
+  // The torus64_reliable_flap group shape: 16 overlapping 8-member ring
+  // windows (stride 4) over a seeded host permutation.
+  std::vector<HostId> perm = torus.all_hosts();
+  RandomStream(3).shuffle(perm);
+  std::vector<MulticastGroupSpec> flap_groups;
+  for (GroupId g = 0; g < 16; ++g) {
+    MulticastGroupSpec spec;
+    spec.id = g;
+    for (int k = 0; k < 8; ++k)
+      spec.members.push_back(perm[static_cast<std::size_t>((4 * g + k) % 64)]);
+    flap_groups.push_back(std::move(spec));
+  }
 
   const std::vector<Case> cases = {
       {"event_queue_schedule_dispatch_calendar",
@@ -142,6 +155,23 @@ int main(int argc, char** argv) {
          });
        },
        256},
+      {"updown_hop_rows_torus8",
+       [&torus] {
+         // Fresh routing, then the hop row of every switch (one
+         // bit-parallel pass covers all 64).
+         const UpDownRouting fresh(torus);
+         fresh.fill_hop_rows(torus.all_hosts());
+         do_not_optimize(fresh.hop_row_bytes());
+       },
+       64},
+      {"group_tables_build_torus8",
+       [&torus, &flap_groups] {
+         // Fresh routing, so the tables fill their hop rows too.
+         const UpDownRouting fresh(torus);
+         const GroupTables tables(flap_groups, fresh);
+         do_not_optimize(tables.heap_bytes_estimate());
+       },
+       16},
       {"mcast_route_encode_split",
        [&branches] {
          const auto enc = EncodedMcastRoute::encode(branches);

@@ -78,50 +78,60 @@ TreeTable::TreeTable(std::vector<HostId> members, const EdgeCost& cost,
   if (std::adjacent_find(members_.begin(), members_.end()) != members_.end())
     throw std::invalid_argument("duplicate member in multicast group");
   root_ = members_.front();
-  parent_[root_] = kNoHost;
-  children_[root_] = {};
-  for (std::size_t i = 1; i < members_.size(); ++i) {
-    const HostId m = members_[i];
-    HostId best = kNoHost;
-    int best_cost = 0;
-    for (std::size_t j = 0; j < i; ++j) {
-      const HostId candidate = members_[j];
-      if (max_fanout > 0 &&
-          static_cast<int>(children_[candidate].size()) >= max_fanout)
-        continue;
-      const int c = cost(candidate, m);
-      if (best == kNoHost || c < best_cost) {
-        best = candidate;
-        best_cost = c;
-      }
-    }
-    if (best == kNoHost)
-      throw std::logic_error("tree fanout cap leaves no eligible parent");
-    parent_[m] = best;
-    children_[best].push_back(m);
-    children_[m] = {};
-  }
-  // Children naturally accumulate in ascending ID order (insertion order).
+  parent_.assign(members_.size(), kNoHost);
+  children_.resize(members_.size());
+  // i members with a cap c >= 1 have i * c > i - 1 child slots, so the
+  // construction always finds a parent with slack; the cap never relaxes.
+  for (std::size_t i = 1; i < members_.size(); ++i)
+    attach(i, best_parent(members_[i], i, cost, max_fanout));
 }
 
 TreeTable::TreeTable(std::vector<HostId> members, const UpDownRouting& routing,
                      int max_fanout)
     : TreeTable(std::move(members), hop_cost(routing), max_fanout) {}
 
+std::size_t TreeTable::index_of(HostId h) const {
+  const auto it = std::lower_bound(members_.begin(), members_.end(), h);
+  if (it == members_.end() || *it != h)
+    throw std::invalid_argument("host not in group");
+  return static_cast<std::size_t>(it - members_.begin());
+}
+
+HostId TreeTable::best_parent(HostId h, std::size_t end, const EdgeCost& cost,
+                              int max_fanout) const {
+  HostId best = kNoHost;
+  int best_cost = 0;
+  for (const bool relaxed : {false, true}) {
+    for (std::size_t j = 0; j < end; ++j) {
+      if (!relaxed && max_fanout > 0 &&
+          static_cast<int>(children_[j].size()) >= max_fanout)
+        continue;
+      const int c = cost(members_[j], h);
+      if (best == kNoHost || c < best_cost) {
+        best = members_[j];
+        best_cost = c;
+      }
+    }
+    if (best != kNoHost) break;  // cap relaxed only when every slot is full
+  }
+  return best;
+}
+
+void TreeTable::attach(std::size_t i, HostId parent) {
+  parent_[i] = parent;
+  std::vector<HostId>& kids = children_[index_of(parent)];
+  kids.insert(std::lower_bound(kids.begin(), kids.end(), members_[i]),
+              members_[i]);
+}
+
 bool TreeTable::contains(HostId h) const {
   return std::binary_search(members_.begin(), members_.end(), h);
 }
 
-HostId TreeTable::parent(HostId h) const {
-  const auto it = parent_.find(h);
-  if (it == parent_.end()) throw std::invalid_argument("host not in group");
-  return it->second;
-}
+HostId TreeTable::parent(HostId h) const { return parent_[index_of(h)]; }
 
 const std::vector<HostId>& TreeTable::children(HostId h) const {
-  const auto it = children_.find(h);
-  if (it == children_.end()) throw std::invalid_argument("host not in group");
-  return it->second;
+  return children_[index_of(h)];
 }
 
 TreeTable::RemovalResult TreeTable::remove_member(HostId h,
@@ -139,48 +149,34 @@ TreeTable::RemovalResult TreeTable::remove_member(HostId h,
   if (members_.size() == 1)
     throw std::logic_error("cannot remove the last tree member");
   result.removed = true;
+  const auto pos = it - members_.begin();
+  const HostId old_parent = parent_[static_cast<std::size_t>(pos)];
+  std::vector<HostId> orphans =
+      std::move(children_[static_cast<std::size_t>(pos)]);
   members_.erase(it);
-
-  std::vector<HostId> orphans = children_[h];
-  children_.erase(h);
+  parent_.erase(parent_.begin() + pos);
+  children_.erase(children_.begin() + pos);
   if (h == root_) {
     // The new root is the lowest surviving ID. Its old parent had an even
     // lower ID, and only the dead root qualified — so the new root is
     // always a direct child of the dead root and already orphaned.
     root_ = members_.front();
-    parent_[root_] = kNoHost;
+    parent_.front() = kNoHost;
     orphans.erase(std::find(orphans.begin(), orphans.end(), root_));
     result.root_promoted = true;
   } else {
     // Detach the dead node from its parent's child list.
-    std::vector<HostId>& siblings = children_[parent_.at(h)];
+    std::vector<HostId>& siblings = children_[index_of(old_parent)];
     siblings.erase(std::find(siblings.begin(), siblings.end(), h));
   }
-  parent_.erase(h);
 
   // Re-attach each orphaned subtree at its (surviving) root: greedy
   // min-hop parent among lower-ID members with fanout slack, exactly the
   // construction rule, so parent < child keeps holding.
   for (const HostId o : orphans) {
-    HostId best = kNoHost;
-    int best_cost = 0;
-    for (bool relax_cap : {false, true}) {
-      for (const HostId candidate : members_) {
-        if (candidate >= o) break;  // members_ ascending; need parent < child
-        if (!relax_cap && max_fanout > 0 &&
-            static_cast<int>(children_[candidate].size()) >= max_fanout)
-          continue;
-        const int c = cost(candidate, o);
-        if (best == kNoHost || c < best_cost) {
-          best = candidate;
-          best_cost = c;
-        }
-      }
-      if (best != kNoHost) break;  // cap relaxed only when every slot is full
-    }
-    parent_[o] = best;
-    std::vector<HostId>& kids = children_[best];
-    kids.insert(std::lower_bound(kids.begin(), kids.end(), o), o);
+    const std::size_t oi = index_of(o);
+    const HostId best = best_parent(o, oi, cost, max_fanout);
+    attach(oi, best);
     result.reattached.emplace_back(o, best);
     ++result.subtrees_reparented;
   }
@@ -198,51 +194,37 @@ TreeTable::AddResult TreeTable::add_member(HostId h, const EdgeCost& cost,
   AddResult result;
   const auto it = std::lower_bound(members_.begin(), members_.end(), h);
   if (it != members_.end() && *it == h) return result;
+  const auto pos = it - members_.begin();
   members_.insert(it, h);
+  parent_.insert(parent_.begin() + pos, kNoHost);
+  children_.emplace(children_.begin() + pos);
   result.added = true;
-  children_[h] = {};
   if (h < root_) {
     // New-root adoption: the joiner takes the root slot and the old root
     // becomes its only child. Every existing parent/child edge survives,
     // so in-flight relays through the old root still reach its subtree.
-    parent_[h] = kNoHost;
-    parent_[root_] = h;
-    children_[h].push_back(root_);
+    attach(1, h);
     root_ = h;
     result.became_root = true;
     return result;
   }
   // Greedy construction rule: min-hop lower-ID parent with fanout slack;
   // the cap is relaxed only when every candidate is full.
-  HostId best = kNoHost;
-  int best_cost = 0;
-  for (bool relax_cap : {false, true}) {
-    for (const HostId candidate : members_) {
-      if (candidate >= h) break;  // members_ ascending; need parent < child
-      if (!relax_cap && max_fanout > 0 &&
-          static_cast<int>(children_[candidate].size()) >= max_fanout)
-        continue;
-      const int c = cost(candidate, h);
-      if (best == kNoHost || c < best_cost) {
-        best = candidate;
-        best_cost = c;
-      }
-    }
-    if (best != kNoHost) break;
-  }
-  parent_[h] = best;
-  std::vector<HostId>& kids = children_[best];
-  kids.insert(std::lower_bound(kids.begin(), kids.end(), h), h);
-  result.parent = best;
+  const auto i = static_cast<std::size_t>(pos);
+  result.parent = best_parent(h, i, cost, max_fanout);
+  attach(i, result.parent);
   return result;
 }
 
 int TreeTable::depth() const {
+  // Every parent has a lower ID, so it sits earlier in members_ and its
+  // depth is known by the time its children are reached.
+  std::vector<int> depth(members_.size(), 0);
   int max_depth = 0;
-  for (const HostId m : members_) {
-    int d = 0;
-    for (HostId n = m; n != root_; n = parent_.at(n)) ++d;
-    max_depth = std::max(max_depth, d);
+  for (std::size_t i = 0; i < members_.size(); ++i) {
+    if (parent_[i] == kNoHost) continue;
+    depth[i] = depth[index_of(parent_[i])] + 1;
+    max_depth = std::max(max_depth, depth[i]);
   }
   return max_depth;
 }
@@ -252,6 +234,18 @@ GroupTables::GroupTables(const std::vector<MulticastGroupSpec>& specs,
                          const TreeStrategy* strategy)
     : routing_(routing), max_tree_fanout_(max_tree_fanout),
       strategy_(strategy) {
+  // Every attach-cost metric starts from the hop count, and the greedy
+  // construction asks for the row of every member's switch but the
+  // highest member's (the only one never a candidate parent): fill those
+  // rows in bit-parallel passes instead of one search per miss.
+  std::vector<HostId> hosts;
+  for (const MulticastGroupSpec& spec : specs) {
+    const auto highest =
+        std::max_element(spec.members.begin(), spec.members.end());
+    for (auto it = spec.members.begin(); it != spec.members.end(); ++it)
+      if (it != highest) hosts.push_back(*it);
+  }
+  routing_.fill_hop_rows(hosts);
   for (const MulticastGroupSpec& spec : specs) {
     circuits_.emplace(spec.id, CircuitTable(spec.members));
     trees_.emplace(spec.id, TreeTable(spec.members, edge_cost(spec.id),

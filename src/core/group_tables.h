@@ -129,24 +129,35 @@ class TreeTable {
   AddResult add_member(HostId h, const EdgeCost& cost, int max_fanout);
   AddResult add_member(HostId h, const UpDownRouting& routing, int max_fanout);
 
-  /// Estimated resident bytes (memory audit): member list plus the
-  /// parent/children maps, using the usual ~32-byte hash-node overhead.
+  /// Estimated resident bytes (memory audit): the member, parent and
+  /// children vectors plus every children list.
   [[nodiscard]] std::size_t heap_bytes_estimate() const {
-    std::size_t bytes = members_.capacity() * sizeof(HostId) +
-                        parent_.size() * (sizeof(std::pair<HostId, HostId>) + 32) +
-                        parent_.bucket_count() * sizeof(void*) +
-                        children_.bucket_count() * sizeof(void*);
-    for (const auto& [h, kids] : children_)
-      bytes += sizeof(std::pair<HostId, std::vector<HostId>>) + 32 +
-               kids.capacity() * sizeof(HostId);
+    std::size_t bytes = (members_.capacity() + parent_.capacity()) *
+                            sizeof(HostId) +
+                        children_.capacity() * sizeof(std::vector<HostId>);
+    for (const auto& kids : children_) bytes += kids.capacity() * sizeof(HostId);
     return bytes;
   }
 
  private:
+  /// Position of `h` in members_; throws if `h` is not a member.
+  [[nodiscard]] std::size_t index_of(HostId h) const;
+  /// Greedy parent for `h` among the members below position `end` (all of
+  /// which have lower IDs): min cost among those with fanout slack, ties to
+  /// the lowest ID; a second round ignores the cap only when every
+  /// candidate is full. kNoHost if `end` is 0.
+  [[nodiscard]] HostId best_parent(HostId h, std::size_t end,
+                                   const EdgeCost& cost, int max_fanout) const;
+  /// Records `parent` for the member at position `i` and inserts it into
+  /// the parent's children in ascending-ID order.
+  void attach(std::size_t i, HostId parent);
+
   HostId root_ = kNoHost;
-  std::vector<HostId> members_;  // ascending
-  std::unordered_map<HostId, HostId> parent_;
-  std::unordered_map<HostId, std::vector<HostId>> children_;
+  // By position in the ascending members_: parent_[i] is members_[i]'s
+  // parent (kNoHost for the root), children_[i] its ascending children.
+  std::vector<HostId> members_;
+  std::vector<HostId> parent_;
+  std::vector<std::vector<HostId>> children_;
 };
 
 /// All groups' circuits and trees, built once per experiment and repaired

@@ -303,6 +303,13 @@ void Network::crash_host(HostId h, Time when) {
 
 void Network::fail_link(LinkId l, Time when) {
   require_unsharded("fail_link");
+  // Stage labels do not re-orient around a dead link: the recomputed
+  // routing can leave connected switches with no legal climb to the root,
+  // and a later broadcast would throw from inside the event loop.
+  if (!config_.routing.level_override.empty())
+    throw std::logic_error(
+        "fail_link is not supported with stage-labelled up/down routing "
+        "(routing.level_override)");
   sim_.at(when, [this, l] {
     const TopoLink& link = topo_.link(l);
     faults_->kill_link(&fabric_->channel_from(l, link.node_a));

@@ -225,7 +225,9 @@ class Network {
   /// Schedules the permanent death of link `l` at `when`: both directed
   /// channels swallow traffic forever and the up/down routing recomputes
   /// (tolerating a partitioned residue), invalidating every cached route
-  /// so retransmissions travel the healed paths.
+  /// so retransmissions travel the healed paths. Throws at the call, before
+  /// anything is scheduled, on a stage-labelled fabric
+  /// (routing.level_override), whose labels cannot heal around the link.
   void fail_link(LinkId l, Time when);
 
   /// Schedules *flap cycles* on link `l` between `from` and `until`: both

@@ -1,6 +1,7 @@
 #include "net/updown.h"
 
 #include <algorithm>
+#include <bit>
 #include <queue>
 #include <stdexcept>
 #include <utility>
@@ -247,23 +248,90 @@ int UpDownRouting::hop_count(HostId src, HostId dst) const {
   const NodeId to_sw = topo_.switch_of_host(dst);
   if (levels_[from_sw] == -1 || levels_[to_sw] == -1)
     throw std::logic_error("no legal up/down path");
-  if (hop_rows_.empty()) hop_rows_.resize(sw_node_.size());
-  std::vector<std::uint16_t>& row =
-      hop_rows_[static_cast<std::size_t>(sw_index_[from_sw])];
-  if (row.empty()) {
-    search_from(from_sw);
-    row.resize(sw_node_.size());
-    for (std::size_t i = 0; i < row.size(); ++i) {
-      const std::int32_t d0 = dist_[2 * i];
-      const std::int32_t d1 = dist_[2 * i + 1];
-      const std::int32_t d = d0 == -1 ? d1 : d1 == -1 ? d0 : std::min(d0, d1);
-      row[i] = d == -1 ? kNoHops : static_cast<std::uint16_t>(d);
-    }
-  }
-  const std::uint16_t hops = row[static_cast<std::size_t>(sw_index_[to_sw])];
+  const std::int32_t from = sw_index_[static_cast<std::size_t>(from_sw)];
+  if (claim_hop_row(from)) hop_row_pass(&from, 1);
+  const std::uint16_t hops =
+      hop_rows_[static_cast<std::size_t>(from)]
+               [static_cast<std::size_t>(sw_index_[to_sw])];
   if (hops == kNoHops) throw std::logic_error("no legal up/down path");
   // Host link out, switch-to-switch links, host link in.
   return hops + 2;
+}
+
+bool UpDownRouting::claim_hop_row(std::int32_t i) const {
+  if (hop_rows_.empty()) hop_rows_.resize(sw_node_.size());
+  std::vector<std::uint16_t>& row = hop_rows_[static_cast<std::size_t>(i)];
+  if (!row.empty()) return false;
+  row.assign(sw_node_.size(), kNoHops);
+  return true;
+}
+
+void UpDownRouting::fill_hop_rows(const std::vector<HostId>& hosts) const {
+  row_sources_.clear();
+  for (const HostId h : hosts) {
+    const NodeId sw = topo_.switch_of_host(h);
+    if (levels_[sw] == -1) continue;
+    const std::int32_t i = sw_index_[static_cast<std::size_t>(sw)];
+    if (claim_hop_row(i)) row_sources_.push_back(i);
+  }
+  for (std::size_t b = 0; b < row_sources_.size(); b += 64)
+    hop_row_pass(row_sources_.data() + b,
+                 std::min<std::size_t>(64, row_sources_.size() - b));
+}
+
+void UpDownRouting::hop_row_pass(const std::int32_t* sources,
+                                 std::size_t count) const {
+  // The search_from BFS run for `count` sources at once, level by level:
+  // bit k of a state's mask stands for source k, so the level at which bit
+  // k first reaches a state is source k's distance to it, and the first
+  // level at which it reaches either phase of a switch is the row entry
+  // (the min over phases that a single search takes).
+  const std::size_t states = 2 * sw_node_.size();
+  row_seen_.assign(states, 0);
+  row_next_.assign(states, 0);
+  row_done_.assign(sw_node_.size(), 0);
+  wave_.clear();
+  for (std::size_t k = 0; k < count; ++k) {
+    const auto i = static_cast<std::size_t>(sources[k]);
+    const std::uint64_t bit = std::uint64_t{1} << k;
+    row_seen_[2 * i] = bit;
+    row_done_[i] = bit;
+    hop_rows_[i][i] = 0;
+    wave_.push_back(WaveState{static_cast<std::int32_t>(2 * i), bit});
+  }
+  for (int level = 1; !wave_.empty(); ++level) {
+    next_wave_.clear();
+    for (const WaveState& w : wave_) {
+      const std::int32_t n = w.state >> 1;
+      const bool gone_down = (w.state & 1) != 0;
+      for (std::int32_t a = arc_begin_[static_cast<std::size_t>(n)];
+           a < arc_begin_[static_cast<std::size_t>(n) + 1]; ++a) {
+        const Arc& arc = arcs_[static_cast<std::size_t>(a)];
+        if (arc.up && gone_down) continue;  // down->up is illegal
+        const auto t = static_cast<std::size_t>(2 * arc.to + (arc.up ? 0 : 1));
+        const std::uint64_t reach = w.fresh & ~row_seen_[t];
+        if (reach == 0) continue;
+        if (row_next_[t] == 0)
+          next_wave_.push_back(static_cast<std::int32_t>(t));
+        row_next_[t] |= reach;
+      }
+    }
+    wave_.clear();
+    for (const std::int32_t t : next_wave_) {
+      const auto ts = static_cast<std::size_t>(t);
+      const std::uint64_t fresh = row_next_[ts];
+      row_next_[ts] = 0;
+      row_seen_[ts] |= fresh;
+      wave_.push_back(WaveState{t, fresh});
+      const auto sw = ts >> 1;
+      std::uint64_t first = fresh & ~row_done_[sw];
+      row_done_[sw] |= first;
+      for (; first != 0; first &= first - 1)
+        hop_rows_[static_cast<std::size_t>(
+            sources[std::countr_zero(first)])][sw] =
+            static_cast<std::uint16_t>(level);
+    }
+  }
 }
 
 std::size_t UpDownRouting::hop_row_bytes() const {

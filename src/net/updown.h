@@ -11,13 +11,13 @@
 // and labels over the surviving links, dropping the cached routes and hop
 // rows so the next retransmission uses the healed paths.
 //
-// Queries are answered from one search per source switch: a (node, phase)
-// BFS over a compact switch graph (live labelled switch-to-switch arcs in
-// port order) finds the shortest legal path from one switch to every
-// other. hop_count() keeps the whole result as a 2-byte row per queried
-// source switch (the host-connectivity graphs of Sections 5/6 ask for
-// every pair of a group); route queries walk the preds of the last search
-// and search again only when the source switch changes.
+// Queries run over a compact switch graph (live labelled switch-to-switch
+// arcs in port order) as a (node, phase) BFS. Route queries walk the preds
+// of a one-source search and search again only when the source switch
+// changes. hop_count() reads a 2-byte row per source switch (the
+// host-connectivity graphs of Sections 5/6 ask for every pair of a group);
+// rows are filled bit-parallel, up to 64 source switches per BFS pass, by
+// fill_hop_rows() for a whole set of hosts or by a one-bit pass on a miss.
 #pragma once
 
 #include <cstddef>
@@ -103,8 +103,15 @@ class UpDownRouting {
   /// (Section 5, Figure 8).
   [[nodiscard]] int hop_count(HostId src, HostId dst) const;
 
+  /// Fills the hop rows of every listed host's switch that has none yet,
+  /// 64 source switches per bit-parallel BFS pass, so later hop_count()
+  /// calls from these hosts are row reads. Hosts cut off (level -1) are
+  /// skipped. The rows equal those a per-source search would give.
+  void fill_hop_rows(const std::vector<HostId>& hosts) const;
+
   /// Bytes held by the hop rows: 2 per switch for each source switch
-  /// hop_count() has been asked about since the last rebuild; for tests.
+  /// hop_count() or fill_hop_rows() has been asked about since the last
+  /// rebuild; for tests.
   [[nodiscard]] std::size_t hop_row_bytes() const;
 
   /// Node path (switches only) underlying route(src, dst); for tests.
@@ -136,8 +143,15 @@ class UpDownRouting {
   /// malformed topology still fails loudly.
   void rebuild(bool allow_partial);
   /// (node, phase) BFS from `from_sw` over the switch graph into the search
-  /// scratch; a no-op when the last search already started there.
+  /// scratch, keeping preds for path queries; a no-op when the last search
+  /// already started there.
   void search_from(NodeId from_sw) const;
+  /// Allocates switch index `i`'s hop row (all kNoHops) unless it exists;
+  /// true if the caller must fill it.
+  bool claim_hop_row(std::int32_t i) const;
+  /// One bit-parallel (node, phase) BFS filling the claimed rows of
+  /// `count` <= 64 distinct source switch indices.
+  void hop_row_pass(const std::int32_t* sources, std::size_t count) const;
   /// Arcs of the shortest legal path from_sw -> to_sw, in path order, read
   /// from the preds of a search from `from_sw`. Throws if none survives.
   const std::vector<std::int32_t>& legal_path(NodeId from_sw,
@@ -175,6 +189,21 @@ class UpDownRouting {
   mutable std::vector<std::int32_t> pred_arc_;
   mutable std::vector<std::int32_t> queue_;
   mutable std::vector<std::int32_t> path_;
+  // Hop-row pass scratch. Bit k of a mask stands for the pass's source k:
+  // row_seen_ by state (sources that reached it), row_next_ by state (sources
+  // reaching it at the next level; all zero between levels), row_done_ by
+  // switch (sources whose row entry is written). The wave lists the states
+  // first reached at the current level with their fresh sources.
+  struct WaveState {
+    std::int32_t state = 0;
+    std::uint64_t fresh = 0;
+  };
+  mutable std::vector<std::uint64_t> row_seen_;
+  mutable std::vector<std::uint64_t> row_next_;
+  mutable std::vector<std::uint64_t> row_done_;
+  mutable std::vector<WaveState> wave_;
+  mutable std::vector<std::int32_t> next_wave_;
+  mutable std::vector<std::int32_t> row_sources_;
   // hop_rows_[i]: switch-to-switch hops of the shortest legal path from
   // switch i to every switch (kNoHops if none); empty until asked for.
   // rebuild() drops the rows and the per-pair routes so retransmissions

@@ -319,6 +319,42 @@ TEST(FailureRepair, PermanentLinkDeathRecomputesRoutes) {
   EXPECT_EQ(net.summary().messages_completed, 12);
 }
 
+TEST(FailureRepair, StagedFabricRefusesPermanentLinkDeathUpFront) {
+  // Stage labels keep their orientation after a link death, so these two
+  // deaths leave connected leaf switches with no legal climb to the root
+  // spine, and a switch-level broadcast from their hosts would throw from
+  // inside the event loop. The Network refuses the death at the call.
+  std::vector<int> levels;
+  Topology topo = make_fat_tree(4, kDefaultLinkDelay, kDefaultLinkDelay,
+                                &levels);
+  std::vector<LinkId> fabric_links;
+  for (LinkId l = 0; l < topo.num_links(); ++l)
+    if (topo.node(topo.link(l).node_a).kind == NodeKind::kSwitch &&
+        topo.node(topo.link(l).node_b).kind == NodeKind::kSwitch)
+      fabric_links.push_back(l);
+  ASSERT_GT(fabric_links.size(), 4u);
+  ExperimentConfig cfg = repair_config(Scheme::kHamiltonianSF);
+  cfg.routing.level_override = levels;
+  const int hosts = topo.num_hosts();
+  Network net(std::move(topo), {full_group(hosts)}, cfg);
+  const std::size_t pending = net.sim().pending_events();
+  for (const std::size_t i : {1u, 4u}) {
+    EXPECT_THROW(net.fail_link(fabric_links[i], 1'000), std::logic_error);
+    EXPECT_EQ(net.sim().pending_events(), pending);
+  }
+  // Nothing was scheduled: every host's broadcast still reaches every
+  // other host over the intact fabric.
+  for (HostId src = 0; src < hosts; ++src) {
+    net.send_switch_broadcast(src, 256);
+    ASSERT_NO_THROW(net.run_to_quiescence());
+  }
+  EXPECT_EQ(net.summary().links_failed, 0);
+  EXPECT_TRUE(net.routing().link_alive(fabric_links[1]));
+  EXPECT_TRUE(net.routing().link_alive(fabric_links[4]));
+  EXPECT_EQ(net.metrics().outstanding(), 0) << net.debug_report();
+  EXPECT_EQ(net.summary().messages_completed, hosts);
+}
+
 // --- the acceptance scenario ------------------------------------------------
 
 // 64-host torus, 10 groups x 10 members: one member of every group crashes

@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
+#include <unordered_map>
+#include <vector>
+
 #include "net/topologies.h"
 #include "sim/random.h"
 
@@ -267,6 +272,205 @@ TEST_F(GroupTablesTest, GroupTablesAddMemberSplicesCircuitAndTree) {
   EXPECT_EQ(tables.circuit(0).order(), (std::vector<HostId>{1, 4, 5, 7}));
   // Already a member: idempotent no-op.
   EXPECT_FALSE(tables.add_member(0, 5).joined);
+}
+
+// --- Differential oracle ------------------------------------------------------
+// TreeTable as it was when it kept its edges in hash maps keyed by host ID.
+// The flat tables must give the same trees and the same repair/join
+// results for every member set, fanout cap and operation sequence.
+
+class MapTreeTable {
+ public:
+  using EdgeCost = TreeTable::EdgeCost;
+
+  MapTreeTable(std::vector<HostId> members, const EdgeCost& cost,
+               int max_fanout)
+      : members_(std::move(members)) {
+    std::sort(members_.begin(), members_.end());
+    root_ = members_.front();
+    parent_[root_] = kNoHost;
+    children_[root_] = {};
+    for (std::size_t i = 1; i < members_.size(); ++i) {
+      const HostId m = members_[i];
+      HostId best = kNoHost;
+      int best_cost = 0;
+      for (std::size_t j = 0; j < i; ++j) {
+        const HostId candidate = members_[j];
+        if (max_fanout > 0 &&
+            static_cast<int>(children_[candidate].size()) >= max_fanout)
+          continue;
+        const int c = cost(candidate, m);
+        if (best == kNoHost || c < best_cost) {
+          best = candidate;
+          best_cost = c;
+        }
+      }
+      parent_[m] = best;
+      children_[best].push_back(m);
+      children_[m] = {};
+    }
+  }
+
+  [[nodiscard]] HostId root() const { return root_; }
+  [[nodiscard]] const std::vector<HostId>& members() const { return members_; }
+  [[nodiscard]] HostId parent(HostId h) const { return parent_.at(h); }
+  [[nodiscard]] const std::vector<HostId>& children(HostId h) const {
+    return children_.at(h);
+  }
+  [[nodiscard]] int depth() const {
+    int max_depth = 0;
+    for (const HostId m : members_) {
+      int d = 0;
+      for (HostId n = m; n != root_; n = parent_.at(n)) ++d;
+      max_depth = std::max(max_depth, d);
+    }
+    return max_depth;
+  }
+
+  TreeTable::RemovalResult remove_member(HostId h, const EdgeCost& cost,
+                                         int max_fanout) {
+    TreeTable::RemovalResult result;
+    const auto it = std::lower_bound(members_.begin(), members_.end(), h);
+    if (it == members_.end() || *it != h) return result;
+    result.removed = true;
+    members_.erase(it);
+    std::vector<HostId> orphans = children_[h];
+    children_.erase(h);
+    if (h == root_) {
+      root_ = members_.front();
+      parent_[root_] = kNoHost;
+      orphans.erase(std::find(orphans.begin(), orphans.end(), root_));
+      result.root_promoted = true;
+    } else {
+      std::vector<HostId>& siblings = children_[parent_.at(h)];
+      siblings.erase(std::find(siblings.begin(), siblings.end(), h));
+    }
+    parent_.erase(h);
+    for (const HostId o : orphans) {
+      const HostId best = greedy_parent(o, cost, max_fanout);
+      parent_[o] = best;
+      std::vector<HostId>& kids = children_[best];
+      kids.insert(std::lower_bound(kids.begin(), kids.end(), o), o);
+      result.reattached.emplace_back(o, best);
+      ++result.subtrees_reparented;
+    }
+    return result;
+  }
+
+  TreeTable::AddResult add_member(HostId h, const EdgeCost& cost,
+                                  int max_fanout) {
+    TreeTable::AddResult result;
+    const auto it = std::lower_bound(members_.begin(), members_.end(), h);
+    if (it != members_.end() && *it == h) return result;
+    members_.insert(it, h);
+    result.added = true;
+    children_[h] = {};
+    if (h < root_) {
+      parent_[h] = kNoHost;
+      parent_[root_] = h;
+      children_[h].push_back(root_);
+      root_ = h;
+      result.became_root = true;
+      return result;
+    }
+    const HostId best = greedy_parent(h, cost, max_fanout);
+    parent_[h] = best;
+    std::vector<HostId>& kids = children_[best];
+    kids.insert(std::lower_bound(kids.begin(), kids.end(), h), h);
+    result.parent = best;
+    return result;
+  }
+
+ private:
+  HostId greedy_parent(HostId h, const EdgeCost& cost, int max_fanout) {
+    HostId best = kNoHost;
+    int best_cost = 0;
+    for (bool relax_cap : {false, true}) {
+      for (const HostId candidate : members_) {
+        if (candidate >= h) break;
+        if (!relax_cap && max_fanout > 0 &&
+            static_cast<int>(children_[candidate].size()) >= max_fanout)
+          continue;
+        const int c = cost(candidate, h);
+        if (best == kNoHost || c < best_cost) {
+          best = candidate;
+          best_cost = c;
+        }
+      }
+      if (best != kNoHost) break;
+    }
+    return best;
+  }
+
+  HostId root_ = kNoHost;
+  std::vector<HostId> members_;
+  std::unordered_map<HostId, HostId> parent_;
+  std::unordered_map<HostId, std::vector<HostId>> children_;
+};
+
+void expect_same_tree(const TreeTable& t, const MapTreeTable& ref) {
+  ASSERT_EQ(t.members(), ref.members());
+  EXPECT_EQ(t.root(), ref.root());
+  EXPECT_EQ(t.depth(), ref.depth());
+  for (const HostId m : ref.members()) {
+    EXPECT_EQ(t.parent(m), ref.parent(m)) << "member " << m;
+    EXPECT_EQ(t.children(m), ref.children(m)) << "member " << m;
+  }
+}
+
+TEST(TreeTableDifferential, MatchesTheMapTables) {
+  const Topology topo = make_torus(6, 6);
+  const UpDownRouting routing(topo);
+  const int hosts = topo.num_hosts();
+  // Hop counts tie often; the keyed metric (0..3) ties even more and is
+  // not symmetric.
+  const TreeTable::EdgeCost hop = [&routing](HostId p, HostId c) {
+    return routing.hop_count(p, c);
+  };
+  const RandomStream keys(77);
+  const TreeTable::EdgeCost keyed = [&keys](HostId p, HostId c) {
+    return static_cast<int>(keys.keyed_uniform(
+        0, 3, static_cast<std::uint64_t>(p), static_cast<std::uint64_t>(c)));
+  };
+  RandomStream rng(2024);
+  for (int trial = 0; trial < 300; ++trial) {
+    const int cap = std::array<int, 3>{0, 2, 3}[trial % 3];
+    const TreeTable::EdgeCost& cost = (trial / 3) % 2 == 0 ? hop : keyed;
+    std::vector<HostId> pool = topo.all_hosts();
+    rng.shuffle(pool);
+    pool.resize(static_cast<std::size_t>(rng.uniform(1, 12)));
+    SCOPED_TRACE(::testing::Message() << "trial " << trial << " cap " << cap);
+    TreeTable t(pool, cost, cap);
+    MapTreeTable ref(pool, cost, cap);
+    expect_same_tree(t, ref);
+    for (int op = 0; op < 40; ++op) {
+      const auto h = static_cast<HostId>(rng.uniform(0, hosts - 1));
+      if (rng.chance(0.5) && t.size() > 1) {
+        // Mostly members, sometimes a non-member (a no-op).
+        const HostId victim =
+            rng.chance(0.8)
+                ? t.members()[static_cast<std::size_t>(
+                      rng.uniform(0, t.size() - 1))]
+                : h;
+        const TreeTable::RemovalResult got =
+            t.remove_member(victim, cost, cap);
+        const TreeTable::RemovalResult want =
+            ref.remove_member(victim, cost, cap);
+        EXPECT_EQ(got.removed, want.removed);
+        EXPECT_EQ(got.root_promoted, want.root_promoted);
+        EXPECT_EQ(got.subtrees_reparented, want.subtrees_reparented);
+        EXPECT_EQ(got.reattached, want.reattached);
+      } else {
+        const TreeTable::AddResult got = t.add_member(h, cost, cap);
+        const TreeTable::AddResult want = ref.add_member(h, cost, cap);
+        EXPECT_EQ(got.added, want.added);
+        EXPECT_EQ(got.became_root, want.became_root);
+        EXPECT_EQ(got.parent, want.parent);
+      }
+      expect_same_tree(t, ref);
+      if (::testing::Test::HasFatalFailure()) return;
+    }
+  }
 }
 
 }  // namespace

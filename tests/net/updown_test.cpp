@@ -292,9 +292,13 @@ class UpDownOracleTest
         c.topo = make_clos(3, 4, 2, kDefaultLinkDelay, kDefaultLinkDelay,
                            &c.levels);
         break;
-      default:
+      case 7:
         c.topo = make_fat_tree(4, kDefaultLinkDelay, kDefaultLinkDelay,
                                &c.levels);
+        break;
+      default:
+        // More than 64 switches: per-switch masks and rows span words.
+        c.topo = make_torus(9, 9);
         break;
     }
     return c;
@@ -365,15 +369,87 @@ std::string oracle_case_name(
     const ::testing::TestParamInfo<std::tuple<int, bool>>& info) {
   static const char* const names[] = {"torus4x4",    "shufflenet", "myrinet",
                                       "line5",       "star6",      "random_mesh",
-                                      "clos_staged", "fat_tree_staged"};
+                                      "clos_staged", "fat_tree_staged",
+                                      "torus9x9"};
   return std::string(names[std::get<0>(info.param)]) +
          (std::get<1>(info.param) ? "_tree_only" : "");
 }
 
 INSTANTIATE_TEST_SUITE_P(
     Topologies, UpDownOracleTest,
-    ::testing::Combine(::testing::Range(0, 8), ::testing::Bool()),
+    ::testing::Combine(::testing::Range(0, 9), ::testing::Bool()),
     oracle_case_name);
+
+/// hop_count() between one host of every switch and one host of every
+/// other switch, against the oracle path length (or it must throw).
+void expect_hops_match_oracle(const Topology& t, const UpDownRouting& r,
+                              bool tree_only) {
+  std::vector<HostId> reps;
+  std::set<NodeId> seen;
+  for (HostId h = 0; h < t.num_hosts(); ++h)
+    if (seen.insert(t.switch_of_host(h)).second) reps.push_back(h);
+  for (const HostId s : reps) {
+    for (const HostId d : reps) {
+      if (s == d) continue;
+      SCOPED_TRACE(::testing::Message() << "pair " << s << "->" << d);
+      const NodeId from_sw = t.switch_of_host(s);
+      const NodeId to_sw = t.switch_of_host(d);
+      const auto ref = r.level(from_sw) == -1 || r.level(to_sw) == -1
+                           ? std::nullopt
+                           : ref_legal_path(t, r, tree_only, from_sw, to_sw);
+      if (ref) {
+        EXPECT_EQ(r.hop_count(s, d), static_cast<int>(ref->links.size()) + 2);
+      } else {
+        EXPECT_THROW((void)r.hop_count(s, d), std::logic_error);
+      }
+    }
+  }
+}
+
+TEST(UpDownHopRows, FillSpansTwoPassesAndMatchesTheOracle) {
+  // 81 switches with two hosts each: a request for every host names 81
+  // distinct source switches, so it takes a 64-source pass and a 17-source
+  // pass. Shuffled requests with duplicates map pass bits to switches in
+  // no particular order.
+  const Topology t = make_torus(9, 9, 2);
+  const auto s_count = static_cast<std::size_t>(t.num_switches());
+  for (const bool tree_only : {false, true}) {
+    SCOPED_TRACE(tree_only ? "tree links only" : "all links");
+    UpDownOptions opts;
+    opts.tree_links_only = tree_only;
+    UpDownRouting r(t, opts);
+
+    // A few rows first: a later request skips them.
+    r.fill_hop_rows({5, 4, 5});
+    EXPECT_EQ(r.hop_row_bytes(), 2 * s_count);
+    std::vector<HostId> hosts = t.all_hosts();
+    RandomStream rng(17);
+    rng.shuffle(hosts);
+    r.fill_hop_rows(hosts);
+    EXPECT_EQ(r.hop_row_bytes(), 2 * s_count * s_count);
+    expect_hops_match_oracle(t, r, tree_only);
+
+    // After link deaths every row goes; a request spanning two passes
+    // again skips the cut-off switch.
+    std::vector<LinkId> fabric_links;
+    for (LinkId l = 0; l < t.num_links(); ++l)
+      if (t.node(t.link(l).node_a).kind == NodeKind::kSwitch &&
+          t.node(t.link(l).node_b).kind == NodeKind::kSwitch)
+        fabric_links.push_back(l);
+    r.fail_link(fabric_links[3]);
+    r.fail_link(fabric_links[40]);
+    const NodeId victim = t.switch_of_host(t.num_hosts() - 1);
+    ASSERT_NE(victim, r.root());
+    for (const TopoPort& p : t.node(victim).ports)
+      if (t.node(t.peer(p.link, victim)).kind == NodeKind::kSwitch)
+        r.fail_link(p.link);
+    ASSERT_EQ(r.level(victim), -1);
+    EXPECT_EQ(r.hop_row_bytes(), 0u);
+    r.fill_hop_rows(hosts);
+    EXPECT_EQ(r.hop_row_bytes(), 2 * s_count * (s_count - 1));
+    expect_hops_match_oracle(t, r, tree_only);
+  }
+}
 
 TEST(UpDown, RootSelectionPrefersHighestDegree) {
   const Topology t = make_star(4);  // hub has degree 4
